@@ -13,8 +13,8 @@ import cvteleport as cv
 
 # Two users sharing a twin-beam state: the closed form is F = 1/(1 + eta).
 spec2 = cv.ResourceSpec(2, 1.0, 1.0, rbar=0.5, d=0.0)
-out = cv.fidelity_network(spec2)
-print("two-mode pipeline fidelity:", out.fidelity)
+var_x, var_p = cv.teleported_variances(cv.build_resource(spec2), 0, 1, 1.0)
+print("two-mode pipeline fidelity:", cv.fidelity_from_variances(var_x, var_p))
 print("closed form 1/(1+e^-1):   ", 1 / (1 + math.exp(-1)))
 
 # Three users. The bias between the two squeezer types matters now: the

@@ -16,6 +16,7 @@ from .gaussian import (
     beam_splitter,
     block_diag_cm,
     build_resource,
+    input_variances,
     n_splitter,
     omega,
     partial_transpose,
@@ -36,6 +37,7 @@ from .entanglement import (
     epr_eta_symmetric,
     eta_closed_form,
     eta_generalized,
+    eta_one_vs_rest,
     eta_two_mode,
     is_entangled,
 )
@@ -44,6 +46,7 @@ from .teleport import (
     TeleportOutcome,
     fidelity_from_variances,
     fidelity_network,
+    network_variances,
     phi_two_mode,
     teleported_variances,
     variances_closed_form_network,

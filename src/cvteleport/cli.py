@@ -12,16 +12,18 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 
 from . import __version__
 from .gaussian import ResourceSpec, build_resource
-from .entanglement import entanglement_report, entanglement_of_teleportation, eof_localizable
+from .entanglement import (
+    contangle_from_ET, entanglement_of_teleportation, entanglement_report, eof_localizable)
 from .localize import localizable_report
 from .mc import McConfig, simulate
 from .optimize import (
+    _phi,
     d_N_opt,
     d_unbiased,
     g_N_opt,
@@ -71,11 +73,11 @@ def _emit(record: dict, output: str, stream) -> None:
         stream.write(",".join(_fmt(record[k]) for k in keys) + "\n")
 
 
-def _spec_from_args(args, default_optimal_d: bool = True) -> ResourceSpec:
+def _spec_from_args(args) -> ResourceSpec:
+    """The resource at --d, by default at d_N_opt; validated before d_N_opt runs."""
+    spec = ResourceSpec(args.N, args.n1, args.n2, args.rbar, constrain_bias=False)
     d = getattr(args, "d", None)
-    if d is None:
-        d = d_N_opt(args.N, args.n1, args.n2, args.rbar) if default_optimal_d else 0.0
-    return ResourceSpec(args.N, args.n1, args.n2, args.rbar, d, constrain_bias=False)
+    return replace(spec, d=d_N_opt(spec.N, spec.n1, spec.n2, spec.rbar) if d is None else d)
 
 
 def _add_spec_args(p: argparse.ArgumentParser, with_d: bool = True) -> None:
@@ -145,21 +147,14 @@ def sweep_rows(N_list, rbars, n1: float, n2: float, base: float = 2.0) -> list[d
     for N in N_list:
         for rbar in rbars:
             opt = optimal_fidelity(N, n1, n2, rbar)
-            g = 1.0 if N == 2 else g_N_opt(N, n1, n2, rbar)
-            g_eff = 0.0 if N == 2 else g
 
             def fid_at(d: float) -> float:
-                spec = ResourceSpec(N, n1, n2, rbar, d, constrain_bias=False)
-                vx, vp = variances_closed_form_network(spec, g_eff)
-                return ((vx + 2.0) * (vp + 2.0) / 4.0) ** -0.5
+                return _phi((N, n1, n2, rbar), d, opt.g_opt) ** -0.5
 
             du = d_unbiased(N, n1, n2, rbar)
             E_T = entanglement_of_teleportation(opt.eta_N)
-            E_tau = None
-            if N == 3 and n1 == 1.0 and n2 == 1.0:  # pure three-mode resource
-                from .entanglement import contangle_from_ET
-
-                E_tau = contangle_from_ET(E_T, base)
+            pure_three_mode = N == 3 and n1 == 1.0 and n2 == 1.0
+            E_tau = contangle_from_ET(E_T, base) if pure_three_mode else None
             rows.append({
                 "N": N, "rbar": rbar,
                 "F_opt": opt.fidelity_opt,
@@ -204,8 +199,8 @@ def cmd_sweep(args) -> int:
 
 def _verify_suites(seed: int, samples: int, inject_fault: bool) -> list[tuple[str, float, float]]:
     """Each suite returns (name, max deviation, tolerance)."""
-    from .entanglement import eta_generalized
-    from .localize import localizable_eta
+    from .entanglement import eta_generalized, eta_two_mode
+    from .localize import localize
     from .teleport import teleported_variances
 
     suites = []
@@ -238,14 +233,15 @@ def _verify_suites(seed: int, samples: int, inject_fault: bool) -> list[tuple[st
                     dev = max(dev, abs(num.g_opt - g_N_opt(N, n1, n2, rbar)))
     suites.append(("numerical optimizer vs closed forms", dev, 1e-8))
 
-    # localization pipeline vs eta_N
+    # dense homodyne localization vs eta_N
     dev = 0.0
     for N in (3, 4, 8):
         for rbar in (0.25, 0.5, 1.0):
             for n1, n2 in ((1.0, 1.0), (1.5, 1.0)):
                 spec = ResourceSpec(N, n1, n2, rbar, d_N_opt(N, n1, n2, rbar),
                                     constrain_bias=False)
-                dev = max(dev, abs(localizable_eta(spec) - eta_generalized(spec)))
+                eta_loc = eta_two_mode(localize(build_resource(spec)).cm)
+                dev = max(dev, abs(eta_loc - eta_generalized(spec)))
     suites.append(("homodyne localization vs eta_N", dev, 1e-9))
 
     # Monte Carlo vs analytic, in standard-error units

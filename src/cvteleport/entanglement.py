@@ -14,14 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import (
-    CovarianceMatrix,
-    ResourceSpec,
-    build_resource,
-    partial_transpose,
-    purity,
-    symplectic_eigenvalues,
-)
+from .gaussian import CovarianceMatrix, ResourceSpec
 
 DISCRIMINANT_TOL = 1e-9
 GHZ_LIMIT_TOL = 1e-12
@@ -46,12 +39,14 @@ class TwoModeBlocks:
 class EntanglementReport:
     """All measures of a resource in one record.
 
-    eta / E_F refer to the 1|rest mode bipartition and are filled only for
-    N = 2, where the state is symmetric and the formation entanglement has a
-    closed form.  E_tau is filled only for pure three-mode resources.
+    eta is the smallest symplectic eigenvalue of the partial transpose for
+    the 1|(N-1) mode bipartition and is filled for every N.  E_F is filled
+    only for N = 2, where the state is symmetric and the formation
+    entanglement has a closed form.  E_tau is filled only for pure three-mode
+    resources.
     """
 
-    eta: float | None
+    eta: float
     eta_N: float
     E_F: float | None
     E_T: float
@@ -182,26 +177,47 @@ def epr_eta_symmetric(sigma: CovarianceMatrix, tol: float = 1e-8) -> float:
     return 0.25 * (var_x_rel + var_p_tot)
 
 
+def eta_one_vs_rest(spec: ResourceSpec) -> float:
+    """PPT eigenvalue of the 1|(N-1) split of the symmetric resource.
+
+    Mode 1 pairs with the symmetric mode of the rest; in that pair each
+    quadrature block is v2 I + (v1 - v2) w w^T, w = (1, sqrt(N-1))/sqrt(N),
+    and time reversal flips w_1 in the p block.  eta^2 is the small root of
+    lam^2 - T lam + D, D = (v1x v1p)(v2x v2p), written as 2D/(T + sqrt(T^2 - 4D))
+    with T and T^2 - 4D as sums of positive terms (k = ((N-2)/N)^2).  The
+    other N - 2 modes decouple from mode 1 with eigenvalue n2.
+    """
+    N = spec.N
+    v1x, v2x, v1p, v2p = spec.variances
+    k, k1 = ((N - 2) / N) ** 2, 4.0 * (N - 1) / N ** 2  # k1 = 1 - k
+    a, b, c, e = v1x * v2p, v2x * v1p, v1x * v1p, v2x * v2p
+    trace = k1 * (a + b) + k * (c + e)
+    gap = math.hypot(
+        k1 * (a - b), k * (c - e),
+        math.sqrt(2.0 * k * k1 * v1x * v2x) * (v1p - v2p),
+        math.sqrt(2.0 * k * k1 * v1p * v2p) * (v1x - v2x),
+    )
+    eta = math.sqrt(2.0 * c * e / (trace + gap))
+    return eta if N == 2 else min(eta, spec.n2)
+
+
 def entanglement_report(spec: ResourceSpec, base: float = 2.0) -> EntanglementReport:
     """Assemble every applicable measure for one resource.
 
-    eta is taken from the covariance-matrix pipeline (partial transpose of the
-    first mode); eta_N, E_T and E_F_loc from the closed forms.  E_tau is
-    evaluated only for pure three-mode resources, where the contangle formula
-    applies.
+    eta is the structured 1|(N-1) eigenvalue (``eta_one_vs_rest``); eta_N,
+    E_T and E_F_loc come from the closed forms.  E_tau is evaluated only for
+    pure three-mode resources (purity 1/(n1 n2^2) = 1), where the contangle
+    formula applies.
     """
-    sigma = build_resource(spec)
-    eta_pt = float(np.min(symplectic_eigenvalues(partial_transpose(sigma, {0}))))
+    eta = eta_one_vs_rest(spec)
     eta_n = eta_generalized(spec)
     E_T = entanglement_of_teleportation(eta_n)
-    E_F = eof_symmetric(eta_two_mode(sigma), base) if spec.N == 2 else None
-    is_pure_three = spec.N == 3 and abs(purity(sigma) - 1.0) <= 1e-9
-    E_tau = contangle_from_ET(E_T, base) if is_pure_three else None
+    is_pure_three = spec.N == 3 and abs(1.0 / (spec.n1 * spec.n2 ** 2) - 1.0) <= 1e-9
     return EntanglementReport(
-        eta=eta_pt,
+        eta=eta,
         eta_N=eta_n,
-        E_F=E_F,
+        E_F=eof_symmetric(eta, base) if spec.N == 2 else None,
         E_T=E_T,
         E_F_loc=eof_localizable(E_T, base),
-        E_tau=E_tau,
+        E_tau=contangle_from_ET(E_T, base) if is_pure_three else None,
     )

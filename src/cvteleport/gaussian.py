@@ -11,6 +11,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -22,8 +23,8 @@ PHYSICALITY_TOL = 1e-9
 
 def omega(n_modes: int) -> np.ndarray:
     """Symplectic form: block diagonal with per-mode blocks [[0, 1], [-1, 0]]."""
-    J = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    return np.kron(np.eye(n_modes), J)
+    D = np.diag(np.tile([1.0, 0.0], n_modes)[:-1], 1)
+    return D - D.T
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -82,8 +83,8 @@ class SymplecticTransform:
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2 != 0:
             raise ValueError(f"symplectic matrix must be 2N x 2N, got shape {m.shape}")
         n = m.shape[0] // 2
-        W = omega(n)
-        if np.max(np.abs(m @ W @ m.T - W)) > SYMMETRY_TOL:
+        mW = np.stack([-m[:, 1::2], m[:, 0::2]], axis=2).reshape(m.shape)  # m @ omega(n)
+        if np.max(np.abs(mW @ m.T - omega(n))) > SYMMETRY_TOL:
             raise ValueError("matrix does not preserve the symplectic form")
         object.__setattr__(self, "entries", _freeze(m))
         object.__setattr__(self, "n_modes", n)
@@ -114,6 +115,9 @@ class ResourceSpec:
         if int(self.N) != self.N or self.N < 2:
             raise ValueError(f"N must be an integer >= 2, got {self.N}")
         object.__setattr__(self, "N", int(self.N))
+        for name in ("n1", "n2", "rbar", "d"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.n1 < 1.0 or self.n2 < 1.0:
             raise ValueError("thermal noise factors must be >= 1")
         if self.rbar < 0.0:
@@ -128,6 +132,19 @@ class ResourceSpec:
     @property
     def r2(self) -> float:
         return self.rbar - self.d
+
+    @property
+    def variances(self) -> tuple[float, float, float, float]:
+        return input_variances(self.n1, self.n2, self.r1, self.r2)
+
+
+def input_variances(n1: float, n2: float, r1: float, r2: float) -> tuple[float, ...]:
+    """(v1x, v2x, v1p, v2p): variances of the mode squeezed in p (v1) and of the
+    N - 1 modes squeezed in x (v2).  They are the whole resource: in each
+    quadrature its CM is v2 I + (v1 - v2)/N J (J all ones), with no x-p terms.
+    """
+    s1, s2 = math.exp(2.0 * r1), math.exp(2.0 * r2)
+    return n1 * s1, n2 / s2, n1 / s1, n2 * s2
 
 
 def vacuum_cm(n_modes: int) -> CovarianceMatrix:
@@ -190,17 +207,19 @@ def squeezer(r: float, mode: int, n_modes: int) -> SymplecticTransform:
 def n_splitter(N: int) -> SymplecticTransform:
     """Balanced N-splitter distributing mode 0 evenly over all N outputs.
 
-    Cascade of beam splitters B_{N-1,N}(pi/4) ... B_{1,2}(arccos 1/sqrt(N))
-    (1-based mode labels), with the rightmost factor applied first.  The
-    first input column of the resulting transform is 1/sqrt(N) on every mode.
+    The cascade B_{N-1,N}(pi/4) ... B_{1,2}(arccos 1/sqrt(N)) (1-based labels,
+    rightmost first) in closed form O (x) I_2.  O is a Helmert matrix: column 0
+    is 1/sqrt(N); column j >= 1 is sqrt(m/(m+1)) in row j - 1 and
+    -1/sqrt(m(m+1)) in rows j..N-1, with m = N - j.
     """
     if N < 2:
         raise ValueError(f"N-splitter needs N >= 2, got {N}")
-    S = np.eye(2 * N)
-    for k in range(1, N):  # k-th factor: B_{k,k+1}(arccos 1/sqrt(N-k+1))
-        theta = np.arccos(1.0 / np.sqrt(N - k + 1))
-        S = beam_splitter(theta, k - 1, k, N).entries @ S
-    return SymplecticTransform(S)
+    j = np.arange(1, N)
+    m = N - j
+    column = np.r_[1.0 / math.sqrt(N), -1.0 / np.sqrt(m * (m + 1.0))]
+    O = np.tril(np.broadcast_to(column, (N, N)))  # column value on and below the diagonal
+    O[j - 1, j] = np.sqrt(m / (m + 1.0))
+    return SymplecticTransform(np.kron(O, np.eye(2)))
 
 
 def apply(S: SymplecticTransform, sigma: CovarianceMatrix) -> CovarianceMatrix:

@@ -4,23 +4,20 @@ Measuring one quadrature of a mode updates the covariance matrix of the
 remaining modes by a rank-1 Schur complement that is independent of the
 measurement outcome.  Conditioning away all but two modes of the symmetric
 resource "localizes" the multipartite entanglement into a two-mode state whose
-PPT eigenvalue, at the optimal bias, equals the generalized eigenvalue eta_N.
+PPT eigenvalue equals the generalized eigenvalue eta_N.  ``homodyne_condition``
+and ``localize`` act on any covariance matrix; ``localizable_eta`` is their
+closed form on the structured symmetric resource.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import CovarianceMatrix, ResourceSpec, build_resource
-from .entanglement import (
-    entanglement_of_teleportation,
-    eof_symmetric,
-    eta_closed_form,
-    eta_generalized,
-    eta_two_mode,
-)
+from .gaussian import CovarianceMatrix, ResourceSpec
+from .entanglement import entanglement_of_teleportation, eof_symmetric, eta_generalized
 from .optimize import d_N_opt
 
 
@@ -81,44 +78,42 @@ def localize(sigma: CovarianceMatrix, keep: tuple[int, int] = (0, 1)) -> Conditi
 
 
 def localizable_eta(spec: ResourceSpec, keep: tuple[int, int] = (0, 1)) -> float:
-    """PPT eigenvalue of the two-mode state localized from the built resource.
+    """Closed form of ``eta_two_mode(localize(build_resource(spec), keep).cm)``.
 
-    For N = 2 the state is already localized and this is the plain two-mode
-    eta.  At d = d_N_opt the value equals eta_generalized(spec).
+    Detecting p on the other N - 2 modes takes the Schur complement of the
+    b I + c J p block.  For (q_k -+ q_l)/sqrt(2) the kept pair has x variances
+    v2x and (2 v1x + (N-2) v2x)/N, p variances v2p and
+    N v1p v2p / (2 v2p + (N-2) v1p); time reversal swaps the p variances, so
+    eta^2 is the smaller cross product: eta_N^2 at every d (N = 2: no detection).
     """
-    sigma = build_resource(spec)
-    if spec.N == 2:
-        return eta_two_mode(sigma)
-    return eta_two_mode(localize(sigma, keep).cm)
+    N = spec.N
+    k, l = keep
+    if k == l or not (0 <= k < N and 0 <= l < N):
+        raise ValueError(f"invalid kept pair {keep} for {N} modes")
+    v1x, v2x, v1p, v2p = spec.variances
+    x_sum_p_diff = (2.0 * v1x + (N - 2) * v2x) / N * v2p
+    x_diff_p_sum = (v2x * v2p) * N * v1p / (2.0 * v2p + (N - 2) * v1p)
+    return math.sqrt(min(x_sum_p_diff, x_diff_p_sum))
 
 
 def localizable_entanglement(spec: ResourceSpec, base: float = 2.0) -> float:
     """Maximal formation entanglement concentrable onto two modes.
 
-    Evaluates the localized eta at the optimal bias for the iso-entangled
-    class (N, n1, n2, rbar); the d carried by the given ResourceSpec only
-    labels a member of the class and does not change the answer.
+    The localized eta is the same for the whole iso-entangled class
+    (N, n1, n2, rbar); the d carried by the given ResourceSpec only labels a
+    member of the class and does not change the answer.
     """
-    if spec.N == 2:
-        return eof_symmetric(eta_closed_form(spec.n1, spec.n2, spec.rbar, spec.rbar), base)
-    d_opt = d_N_opt(spec.N, spec.n1, spec.n2, spec.rbar)
-    opt_spec = ResourceSpec(spec.N, spec.n1, spec.n2, spec.rbar, d_opt, constrain_bias=False)
-    return eof_symmetric(localizable_eta(opt_spec), base)
+    return eof_symmetric(localizable_eta(spec), base)
 
 
 def localizable_report(spec: ResourceSpec, base: float = 2.0) -> dict:
-    """Pipeline vs closed-form localization summary for one resource class."""
+    """Localized vs closed-form summary for one resource class."""
     eta_n = eta_generalized(spec)
-    d_opt = d_N_opt(spec.N, spec.n1, spec.n2, spec.rbar)
-    if spec.N == 2:
-        eta_loc = eta_closed_form(spec.n1, spec.n2, spec.rbar, spec.rbar)
-    else:
-        opt = ResourceSpec(spec.N, spec.n1, spec.n2, spec.rbar, d_opt, constrain_bias=False)
-        eta_loc = localizable_eta(opt)
+    eta_loc = localizable_eta(spec)  # the same for every bias d
     return {
         "eta_N": eta_n,
         "eta_localized": eta_loc,
-        "d_opt": d_opt,
+        "d_opt": d_N_opt(spec.N, spec.n1, spec.n2, spec.rbar),
         "E_T": entanglement_of_teleportation(eta_n),
         "E_F_loc": eof_symmetric(eta_loc, base) if eta_loc < 1.0 else 0.0,
         "deviation": abs(eta_loc - eta_n),

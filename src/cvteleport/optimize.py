@@ -18,9 +18,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from .gaussian import ResourceSpec
+from .gaussian import ResourceSpec, input_variances
 from .entanglement import eta_generalized
-from .teleport import variances_closed_form_network
+from .teleport import network_variances
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -70,9 +70,9 @@ def d_N_opt(N: int, n1: float, n2: float, rbar: float, constrain: bool = False) 
 
 
 def _phi(spec_nd: tuple[int, float, float, float], d: float, g: float) -> float:
+    """Fidelity kernel (fidelity = phi^{-1/2}) on raw, already validated inputs."""
     N, n1, n2, rbar = spec_nd
-    spec = ResourceSpec(N, n1, n2, rbar, d, constrain_bias=False)
-    vx, vp = variances_closed_form_network(spec, g)
+    vx, vp = network_variances(N, input_variances(n1, n2, rbar + d, rbar - d), g)
     return (vx + 2.0) * (vp + 2.0) / 4.0
 
 
@@ -90,8 +90,7 @@ def optimal_fidelity(
     d_raw = d_N_opt(N, n1, n2, rbar)
     if constrain_bias and abs(d_raw) > rbar:
         d = min(max(d_raw, -rbar), rbar)
-        g_eff = g_N_opt(N, n1, n2, rbar) if N > 2 else 0.0
-        fid = _phi((N, n1, n2, rbar), d, g_eff) ** -0.5
+        fid = _phi((N, n1, n2, rbar), d, g) ** -0.5
         return OptimizationResult(d, g, fid, eta, "closed-form", bias_clamped=True)
     return OptimizationResult(d_raw, g, 1.0 / (1.0 + eta), eta, "closed-form")
 
@@ -145,6 +144,7 @@ def numerical_optimum(
     Independent oracle for the closed forms; default d bounds are wide enough
     to contain the unconstrained optimum for any grid in this package.
     """
+    spec = ResourceSpec(N, n1, n2, rbar)
     key = (N, n1, n2, rbar)
     if d_bounds is None:
         d_bounds = (-rbar - 2.0, rbar + 2.0)
@@ -162,8 +162,7 @@ def numerical_optimum(
     phi_star = _phi(key, d_star, g_star)
     if not math.isfinite(phi_star):
         raise ArithmeticError("non-finite objective at the numerical optimum")
-    eta = eta_generalized(ResourceSpec(N, n1, n2, rbar))
-    return OptimizationResult(d_star, g_star, phi_star ** -0.5, eta, "numerical")
+    return OptimizationResult(d_star, g_star, phi_star ** -0.5, eta_generalized(spec), "numerical")
 
 
 def worst_case(N: int, n1: float, n2: float, rbar: float) -> WorstCase:
@@ -171,11 +170,11 @@ def worst_case(N: int, n1: float, n2: float, rbar: float) -> WorstCase:
 
     d = -rbar zeroes r1 (the momentum squeezer), d = +rbar zeroes r2.
     """
-    g = 1.0 if N == 2 else g_N_opt(N, n1, n2, rbar)
-    g_eff = 0.0 if N == 2 else g
+    ResourceSpec(N, n1, n2, rbar)  # validates the inputs _phi takes raw
+    g = g_N_opt(N, n1, n2, rbar)  # the gain is inert at N = 2
     candidates = [
-        WorstCase(-rbar, _phi((N, n1, n2, rbar), -rbar, g_eff) ** -0.5, "r1"),
-        WorstCase(rbar, _phi((N, n1, n2, rbar), rbar, g_eff) ** -0.5, "r2"),
+        WorstCase(-rbar, _phi((N, n1, n2, rbar), -rbar, g) ** -0.5, "r1"),
+        WorstCase(rbar, _phi((N, n1, n2, rbar), rbar, g) ** -0.5, "r2"),
     ]
     return min(candidates, key=lambda w: w.fidelity_worst)
 

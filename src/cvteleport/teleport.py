@@ -3,9 +3,10 @@
 Two independent routes to the same numbers:
 
 * the general path -- quadratic forms of x_rel = x_k - x_l and
-  p_tot = p_k + p_l + g * sum_{j != k,l} p_j on the resource covariance matrix
-* closed forms in the resource parameters, used as the fast path and
-  cross-checked against the general path in the test suite
+  p_tot = p_k + p_l + g * sum_{j != k,l} p_j on any covariance matrix
+* closed forms on the structured symmetric resource (four input variances),
+  used by ``fidelity_network`` and cross-checked against the general path
+  in the test suite
 
 The coherent-alphabet-averaged fidelity is
 F = [((var_x_rel + 2)(var_p_tot + 2)) / 4]^{-1/2}; the +2 combines the unit
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import CovarianceMatrix, ResourceSpec, build_resource
+from .gaussian import CovarianceMatrix, ResourceSpec
 
 OPTIMAL = "optimal"
 
@@ -41,6 +42,8 @@ class ProtocolParams:
             raise ValueError("sender and receiver must be distinct modes")
         if isinstance(self.gain, str) and self.gain != OPTIMAL:
             raise ValueError(f"gain must be a real number or 'optimal', got {self.gain!r}")
+        if not isinstance(self.gain, str) and not math.isfinite(self.gain):
+            raise ValueError(f"gain must be finite, got {self.gain}")
 
 
 @dataclass(frozen=True)
@@ -83,26 +86,24 @@ def phi_two_mode(rbar: float, d: float, n1: float, n2: float) -> float:
     )
 
 
-def variances_closed_form_network(spec: ResourceSpec, g: float) -> tuple[float, float]:
-    """Closed-form x_rel/p_tot variances of the N-mode resource.
-
-    var_x_rel = 2 n2 e^{-2 r2} (gain independent);
-    var_p_tot = {[2 + (N-2) g]^2 n1 e^{-2 r1}
-                 + 2 (g-1)^2 (N-2) n2 e^{2 r2}} / N.
-    The 1/N normalization is fixed by the N-splitter matrix itself and is
-    verified against the covariance-matrix path in the test suite.
+def network_variances(N: int, variances: tuple, g: float) -> tuple[float, float]:
+    """x_rel/p_tot variances, for any sender/receiver pair, of the symmetric
+    resource with input variances (v1x, v2x, v1p, v2p): var_x_rel = 2 v2x and
+    var_p_tot = {[2 + (N-2) g]^2 v1p + 2 (g-1)^2 (N-2) v2p} / N.
     """
-    N = spec.N
-    var_x = 2.0 * spec.n2 * math.exp(-2.0 * spec.r2)
-    var_p = (
-        (2.0 + (N - 2) * g) ** 2 * spec.n1 * math.exp(-2.0 * spec.r1)
-        + 2.0 * (g - 1.0) ** 2 * (N - 2) * spec.n2 * math.exp(2.0 * spec.r2)
-    ) / N
-    return var_x, var_p
+    _, v2x, v1p, v2p = variances
+    return 2.0 * v2x, ((2.0 + (N - 2) * g) ** 2 * v1p + 2.0 * (g - 1.0) ** 2 * (N - 2) * v2p) / N
+
+
+def variances_closed_form_network(spec: ResourceSpec, g: float) -> tuple[float, float]:
+    """``network_variances`` of the resource: var_x_rel = 2 n2 e^{-2 r2} and
+    var_p_tot = {[2 + (N-2) g]^2 n1 e^{-2 r1} + 2 (g-1)^2 (N-2) n2 e^{2 r2}} / N."""
+    return network_variances(spec.N, spec.variances, g)
 
 
 def fidelity_network(spec: ResourceSpec, params: ProtocolParams | None = None) -> TeleportOutcome:
-    """Teleportation fidelity through the covariance-matrix pipeline.
+    """Teleportation fidelity of the resource from its input variances; the
+    dense equivalent is ``teleported_variances(build_resource(spec), ...)``.
 
     With gain="optimal" the closed-form optimal gain is used; combined with
     d = d_N_opt this attains F = 1/(1 + eta_N).
@@ -111,10 +112,11 @@ def fidelity_network(spec: ResourceSpec, params: ProtocolParams | None = None) -
 
     if params is None:
         params = ProtocolParams()
+    if not (0 <= params.sender < spec.N and 0 <= params.receiver < spec.N):
+        raise ValueError(f"invalid sender/receiver pair for {spec.N} modes: {params}")
     if params.gain == OPTIMAL:
         gain = 1.0 if spec.N == 2 else g_N_opt(spec.N, spec.n1, spec.n2, spec.rbar)
     else:
         gain = float(params.gain)
-    sigma = build_resource(spec)
-    var_x, var_p = teleported_variances(sigma, params.sender, params.receiver, gain)
+    var_x, var_p = variances_closed_form_network(spec, gain)
     return TeleportOutcome(var_x, var_p, gain, fidelity_from_variances(var_x, var_p))

@@ -1,15 +1,95 @@
 import json
 import math
+import time
+from pathlib import Path
 
 import pytest
 
 from cvteleport.cli import main, sweep_rows
 
 
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def record(out):
+    header, row = out.strip().splitlines()
+    return {k: float(v) for k, v in zip(header.split(","), row.split(",")) if v}
+
+
+def eta_n(N, n1, n2, rbar):
+    return math.sqrt(N * n1 * n2 / (2 * math.exp(4 * rbar) + (N - 2) * n1 / n2))
+
+
+def eta_split(N, n1, n2, rbar, d):
+    """1|(N-1) PT eigenvalue from the two-mode reduction (mode 1, symmetric
+    mode of the rest) of the resource CM; the small root is det / lam_max."""
+    r1, r2 = rbar + d, rbar - d
+    v1x, v1p = n1 * math.exp(2 * r1), n1 * math.exp(-2 * r1)
+    v2x, v2p = n2 * math.exp(-2 * r2), n2 * math.exp(2 * r2)
+    cx, cp = (v1x - v2x) / N, (v1p - v2p) / N
+    ax, ap = v2x + cx, v2p + cp
+    bx, bp = ax + (N - 2) * cx, ap + (N - 2) * cp
+    trace = ax * ap + bx * bp - 2 * (N - 1) * cx * cp
+    det = v1x * v2x * v1p * v2p
+    lam_max = 0.5 * (trace + math.sqrt(trace * trace - 4 * det))
+    return min(math.sqrt(det / lam_max), n2)
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("field,argv", [
+        ("rbar", ("fidelity", "--N", "4", "--rbar", "nan")),
+        ("n1", ("fidelity", "--N", "4", "--n1", "inf", "--rbar", "1")),
+        ("n1", ("entanglement", "--N", "2", "--n1", "inf", "--rbar", "1")),
+        ("d", ("fidelity", "--N", "4", "--rbar", "1", "--d", "nan")),
+        ("rbar", ("optimize", "--N", "4", "--rbar", "inf", "--method", "numerical")),
+    ])
+    def test_exit_2_naming_the_field(self, capsys, field, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {field} must be finite")
+
+
+class TestLargeSqueezing:
+    """Figures the dense path lost or refused from rbar of about 3."""
+
+    @pytest.mark.parametrize("N", [2, 8])
+    def test_fidelity(self, capsys, N):
+        code, out, _ = run(capsys, "fidelity", "--N", str(N), "--rbar", "6")
+        assert code == 0
+        assert record(out)["fidelity"] == pytest.approx(1 / (1 + eta_n(N, 1, 1, 6)), rel=1e-11)
+
+    def test_localize(self, capsys):
+        code, out, _ = run(capsys, "localize", "--N", "150", "--rbar", "6",
+                           "--n1", "1.5", "--n2", "1.2")
+        assert code == 0
+        assert abs(record(out)["eta_localized"] - eta_n(150, 1.5, 1.2, 6)) < 1e-9
+
+    def test_entanglement(self, capsys):
+        code, out, _ = run(capsys, "entanglement", "--N", "200", "--rbar", "6")
+        assert code == 0
+        rec = record(out)
+        assert rec["eta"] == pytest.approx(eta_split(200, 1, 1, 6, rec["d"]), rel=1e-9)
+
+    @pytest.mark.parametrize("command", ["fidelity", "entanglement", "localize"])
+    def test_ten_thousand_modes_under_50_ms(self, capsys, command):
+        argv = (command, "--N", "10000", "--n1", "1.3", "--rbar", "4")
+        times = []
+        for _ in range(3):  # best of three: the least noisy estimate on a shared machine
+            t0 = time.perf_counter()
+            code, out, _ = run(capsys, *argv)
+            times.append(time.perf_counter() - t0)
+        assert code == 0
+        rec = record(out)
+        eta = 1 / rec["fidelity"] - 1 if command == "fidelity" else rec["eta_N"]
+        assert eta == pytest.approx(eta_n(10000, 1.3, 1, 4), rel=1e-9)
+        assert min(times) < 0.05, times
 
 
 class TestFidelityCommand:
@@ -139,6 +219,11 @@ class TestSweepCommand:
         for csv_cells, json_row in zip(csv_rows, doc["rows"]):
             assert float(csv_cells[2]) == json_row["F_opt"]
             assert float(csv_cells[6]) == json_row["eta_N"]
+
+    def test_default_output_unchanged(self, capsys):
+        code, out, _ = run(capsys, "sweep")
+        assert code == 0
+        assert out == (FIXTURES / "sweep_default.csv").read_text()
 
     def test_invalid_ranges_exit_2(self, capsys):
         code, _, _ = run(capsys, "sweep", "--steps", "1")

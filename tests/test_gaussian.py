@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -15,6 +16,16 @@ def random_symplectic(n_modes, rng):
         S = cv.beam_splitter(rng.uniform(0, np.pi), int(i), int(j), n_modes).entries @ S
         S = cv.squeezer(rng.uniform(-0.8, 0.8), int(rng.integers(n_modes)), n_modes).entries @ S
     return cv.SymplecticTransform(S)
+
+
+def cascade_splitter(N):
+    """Reference N-splitter: the beam-splitter cascade B_{N-1,N}(pi/4) ...
+    B_{1,2}(arccos 1/sqrt(N)) multiplied out, rightmost factor first."""
+    S = np.eye(2 * N)
+    for k in range(1, N):
+        theta = np.arccos(1.0 / np.sqrt(N - k + 1))
+        S = cv.beam_splitter(theta, k - 1, k, N).entries @ S
+    return S
 
 
 class TestVacuum:
@@ -99,6 +110,22 @@ class TestNSplitter:
     def test_guard(self):
         with pytest.raises(ValueError):
             cv.n_splitter(1)
+
+    def test_equals_cascade(self):
+        for N in [*range(2, 17), 31, 32, 63, 64]:
+            S = cv.n_splitter(N).entries
+            assert np.max(np.abs(S - cascade_splitter(N))) < 1e-12, N
+            W = omega(N)
+            assert np.max(np.abs(S @ W @ S.T - W)) < 1e-12, N
+
+    def test_cold_build_at_400_modes(self):
+        times = []
+        for _ in range(3):  # best of three: the least noisy estimate on a shared machine
+            t0 = time.perf_counter()
+            S = cv.n_splitter.__wrapped__(400)  # bypass the memo cache
+            times.append(time.perf_counter() - t0)
+        assert isinstance(S, cv.SymplecticTransform)  # validated on construction
+        assert min(times) < 0.1, times
 
 
 class TestApply:
@@ -258,6 +285,20 @@ class TestResourceSpec:
             cv.ResourceSpec(2, 0.9, 1, 0.5)
         with pytest.raises(ValueError):
             cv.ResourceSpec(2, 1, 1, -0.1)
+
+    @pytest.mark.parametrize("field", ["n1", "n2", "rbar", "d"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected_by_name(self, field, value):
+        kwargs = {"N": 3, "n1": 1.0, "n2": 1.0, "rbar": 0.5, "d": 0.0, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            cv.ResourceSpec(**kwargs, constrain_bias=False)
+
+    def test_input_variances(self):
+        spec = cv.ResourceSpec(3, 1.5, 1.2, 0.7, 0.2)
+        cm = cv.block_diag_cm(cv.squeezed_thermal_cm(1.5, spec.r1, "momentum"),
+                              cv.squeezed_thermal_cm(1.2, spec.r2, "position"))
+        v1x, v2x, v1p, v2p = spec.variances
+        assert (v1x, v1p, v2x, v2p) == tuple(np.diag(cm.entries))
 
     def test_unphysical_cm_rejected(self):
         with pytest.raises(ValueError):
