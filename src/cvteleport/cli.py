@@ -19,17 +19,18 @@ import numpy as np
 from . import __version__
 from .gaussian import ResourceSpec, build_resource
 from .entanglement import (
-    contangle_from_ET, entanglement_of_teleportation, entanglement_report, eof_localizable)
+    contangle_from_ET, entanglement_of_teleportation, entanglement_report, eof_symmetric)
 from .localize import localizable_report
 from .mc import McConfig, simulate
 from .optimize import (
-    _phi,
+    _d_unbiased,
+    _fidelity,
+    _optimum,
+    _worst_case,
     d_N_opt,
-    d_unbiased,
     g_N_opt,
     numerical_optimum,
     optimal_fidelity,
-    worst_case,
 )
 from .teleport import ProtocolParams, fidelity_network, variances_closed_form_network
 
@@ -40,6 +41,8 @@ SWEEP_COLUMNS = [
 
 
 def _fmt(value) -> str:
+    if isinstance(value, float):  # the common case, first
+        return "inf" if math.isinf(value) else f"{value:.12g}"
     if value is None:
         return ""
     if isinstance(value, str):
@@ -142,29 +145,34 @@ def cmd_localize(args) -> int:
 
 
 def sweep_rows(N_list, rbars, n1: float, n2: float, base: float = 2.0) -> list[dict]:
-    """One row per (N, rbar), N-major order, with every Fig.-1-style curve."""
+    """One row per (N, rbar), N-major order, with every Fig.-1-style curve.
+
+    The inputs are validated once per N, by a ResourceSpec at the smallest and
+    at the largest rbar; every row lies between the two.  The rows then come
+    from the kernels that optimal_fidelity, worst_case, d_unbiased and
+    eta_generalized run after validating, with g_N_opt computed once per row.
+    """
+    # min and max skip a NaN that is not first, so NaNs are checked on their own
+    checked = {min(rbars), max(rbars), *filter(math.isnan, rbars)} if rbars else ()
     rows = []
     for N in N_list:
+        for rbar in checked:
+            ResourceSpec(N, n1, n2, rbar)
+        pure_three_mode = N == 3 and n1 == 1.0 and n2 == 1.0
         for rbar in rbars:
-            opt = optimal_fidelity(N, n1, n2, rbar)
-
-            def fid_at(d: float) -> float:
-                return _phi((N, n1, n2, rbar), d, opt.g_opt) ** -0.5
-
-            du = d_unbiased(N, n1, n2, rbar)
-            E_T = entanglement_of_teleportation(opt.eta_N)
-            pure_three_mode = N == 3 and n1 == 1.0 and n2 == 1.0
-            E_tau = contangle_from_ET(E_T, base) if pure_three_mode else None
+            key = (N, n1, n2, rbar)
+            g, F_opt, eta_N = _optimum(*key)
+            E_T = entanglement_of_teleportation(eta_N)
             rows.append({
                 "N": N, "rbar": rbar,
-                "F_opt": opt.fidelity_opt,
-                "F_equal": fid_at(0.0),
-                "F_unbiased": fid_at(du.d),
-                "F_worst": worst_case(N, n1, n2, rbar).fidelity_worst,
-                "eta_N": opt.eta_N,
+                "F_opt": F_opt,
+                "F_equal": _fidelity(key, 0.0, g),
+                "F_unbiased": _fidelity(key, _d_unbiased(*key), g),
+                "F_worst": _worst_case(key, g).fidelity_worst,
+                "eta_N": eta_N,
                 "E_T": E_T,
-                "E_F_loc": eof_localizable(E_T, base),
-                "E_tau": E_tau,
+                "E_F_loc": eof_symmetric(eta_N, base),
+                "E_tau": contangle_from_ET(E_T, base) if pure_three_mode else None,
             })
     return rows
 
@@ -193,7 +201,7 @@ def cmd_sweep(args) -> int:
     else:
         sys.stdout.write(",".join(SWEEP_COLUMNS) + "\n")
         for r in rows:
-            sys.stdout.write(",".join(_fmt(r[c]) for c in SWEEP_COLUMNS) + "\n")
+            sys.stdout.write(",".join([_fmt(r[c]) for c in SWEEP_COLUMNS]) + "\n")
     return 0
 
 

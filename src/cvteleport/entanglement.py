@@ -88,14 +88,16 @@ def is_entangled(eta: float) -> bool:
 
 
 def _f(x: float, base: float) -> float:
-    """Entropic function f(x) of the symmetric-state formation entanglement."""
-    lb = math.log(base)
-    a = (1.0 + x) ** 2 / (4.0 * x)
+    """Entropic function f(x) of the symmetric-state formation entanglement.
+
+    f = a ln a - b ln b with a = (1+x)^2/(4x) = 1 + b, b = (1-x)^2/(4x),
+    written as ln(1+b) + 4b atanh(x): both terms are >= 0 on (0, 1], so
+    nothing cancels as x -> 0.  f(1) = 0.
+    """
     b = (1.0 - x) ** 2 / (4.0 * x)
-    out = a * math.log(a) / lb
-    if b > 0.0:
-        out -= b * math.log(b) / lb
-    return out
+    if b == 0.0:
+        return 0.0  # x == 1, where atanh diverges but b atanh(x) -> 0
+    return (math.log1p(b) + 4.0 * b * math.atanh(x)) / math.log(base)
 
 
 def eof_symmetric(eta: float, base: float = 2.0) -> float:
@@ -111,15 +113,22 @@ def eof_symmetric(eta: float, base: float = 2.0) -> float:
     return _f(eta, base)
 
 
+def _eta_N(N: int, n1: float, n2: float, rbar: float) -> float:
+    """eta_generalized on raw, already validated inputs."""
+    return math.exp(-2.0 * rbar) * math.sqrt(
+        N * n1 * n2 / (2.0 + (N - 2) * n1 / n2 * math.exp(-4.0 * rbar)))
+
+
 def eta_generalized(spec: ResourceSpec) -> float:
     """Generalized PPT eigenvalue eta_N of the optimized N-mode resource.
 
-    eta_N = sqrt(N n1 n2 / (2 e^{4 rbar} + (N-2) n1/n2)); depends on the
+    eta_N = sqrt(N n1 n2 / (2 e^{4 rbar} + (N-2) n1/n2)), evaluated as
+    e^{-2 rbar} sqrt(N n1 n2 / (2 + (N-2) (n1/n2) e^{-4 rbar})) so that it
+    neither overflows nor underflows for rbar below about 354; depends on the
     iso-entangled class (N, n1, n2, rbar) only -- the bias d is ignored.
     Reduces to eta_closed_form(n1, n2, rbar, rbar) at N = 2.
     """
-    N, n1, n2 = spec.N, spec.n1, spec.n2
-    return math.sqrt(N * n1 * n2 / (2.0 * math.exp(4.0 * spec.rbar) + (N - 2) * n1 / n2))
+    return _eta_N(spec.N, spec.n1, spec.n2, spec.rbar)
 
 
 def entanglement_of_teleportation(eta_N: float) -> float:
@@ -192,6 +201,8 @@ def eta_one_vs_rest(spec: ResourceSpec) -> float:
     k, k1 = ((N - 2) / N) ** 2, 4.0 * (N - 1) / N ** 2  # k1 = 1 - k
     a, b, c, e = v1x * v2p, v2x * v1p, v1x * v1p, v2x * v2p
     trace = k1 * (a + b) + k * (c + e)
+    if math.isinf(trace):  # a = n1 n2 e^{4 rbar}; 2ce/inf would print eta = 0
+        raise OverflowError(f"eta of the 1|(N-1) split overflows e^(4 rbar) at rbar = {spec.rbar}")
     gap = math.hypot(
         k1 * (a - b), k * (c - e),
         math.sqrt(2.0 * k * k1 * v1x * v2x) * (v1p - v2p),
@@ -205,9 +216,10 @@ def entanglement_report(spec: ResourceSpec, base: float = 2.0) -> EntanglementRe
     """Assemble every applicable measure for one resource.
 
     eta is the structured 1|(N-1) eigenvalue (``eta_one_vs_rest``); eta_N,
-    E_T and E_F_loc come from the closed forms.  E_tau is evaluated only for
-    pure three-mode resources (purity 1/(n1 n2^2) = 1), where the contangle
-    formula applies.
+    E_T and E_F_loc come from the closed forms.  E_F_loc is f(eta_N), taken
+    from eta_N itself rather than from E_T, which rounds to 1 from rbar of
+    about 18.  E_tau is evaluated only for pure three-mode resources
+    (purity 1/(n1 n2^2) = 1), where the contangle formula applies.
     """
     eta = eta_one_vs_rest(spec)
     eta_n = eta_generalized(spec)
@@ -218,6 +230,6 @@ def entanglement_report(spec: ResourceSpec, base: float = 2.0) -> EntanglementRe
         eta_N=eta_n,
         E_F=eof_symmetric(eta, base) if spec.N == 2 else None,
         E_T=E_T,
-        E_F_loc=eof_localizable(E_T, base),
+        E_F_loc=eof_symmetric(eta_n, base),
         E_tau=contangle_from_ET(E_T, base) if is_pure_three else None,
     )

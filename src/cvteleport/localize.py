@@ -92,6 +92,8 @@ def localizable_eta(spec: ResourceSpec, keep: tuple[int, int] = (0, 1)) -> float
         raise ValueError(f"invalid kept pair {keep} for {N} modes")
     v1x, v2x, v1p, v2p = spec.variances
     x_sum_p_diff = (2.0 * v1x + (N - 2) * v2x) / N * v2p
+    if math.isinf(x_sum_p_diff):  # ~ e^{4 rbar}; the other product has underflowed
+        raise OverflowError(f"localized eta overflows e^(4 rbar) at rbar = {spec.rbar}")
     x_diff_p_sum = (v2x * v2p) * N * v1p / (2.0 * v2p + (N - 2) * v1p)
     return math.sqrt(min(x_sum_p_diff, x_diff_p_sum))
 
@@ -115,6 +117,6 @@ def localizable_report(spec: ResourceSpec, base: float = 2.0) -> dict:
         "eta_localized": eta_loc,
         "d_opt": d_N_opt(spec.N, spec.n1, spec.n2, spec.rbar),
         "E_T": entanglement_of_teleportation(eta_n),
-        "E_F_loc": eof_symmetric(eta_loc, base) if eta_loc < 1.0 else 0.0,
+        "E_F_loc": eof_symmetric(eta_loc, base),
         "deviation": abs(eta_loc - eta_n),
     }

@@ -1,15 +1,19 @@
 """Optimal protocol parameters: closed forms plus an independent numerical oracle.
 
 Closed forms (natural logs throughout -- they come from calculus, not from the
-entropy-base choice):
+entropy-base choice), written with q = e^{-4 rbar} so that nothing overflows at
+large squeezing:
 
 * two-mode optimal bias    d_opt = (1/4) ln(n1/n2)
-* optimal gain             g_N_opt = 1 - N / [(N-2) + 2 e^{4 rbar} n2/n1]
-* optimal bias             d_N_opt = rbar + ln{N / [(N-2) + 2 e^{4 rbar} n2/n1]} / 4
+* optimal gain             g_N_opt = 1 - N q / [(N-2) q + 2 n2/n1]
+* optimal bias             d_N_opt = (1/4) ln{N / [(N-2) q + 2 n2/n1]}
 * optimal fidelity         F = 1 / (1 + eta_N)
+* unbiased bias            d = (1/4) ln[(k + n1 q) / (n1 + k q)], k = (N-1) n2
 
 The numerical oracle minimizes the fidelity kernel phi by nested bracketing
 scalar searches (both axes are convex) and never consults the closed forms.
+The public functions validate their inputs through ``ResourceSpec``; the
+underscored kernels they delegate to take raw, already validated floats.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .gaussian import ResourceSpec, input_variances
-from .entanglement import eta_generalized
+from .entanglement import _eta_N, eta_generalized
 from .teleport import network_variances
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -42,6 +46,9 @@ class WorstCase(NamedTuple):
 
 
 class UnbiasedBias(NamedTuple):
+    """The unbiased bias d; at_boundary is always False on valid inputs, where
+    the root lies strictly inside (-rbar, rbar) for rbar > 0 (d = 0 at rbar = 0)."""
+
     d: float
     at_boundary: bool
 
@@ -53,7 +60,8 @@ def d_opt_two_mode(n1: float, n2: float) -> float:
 
 def g_N_opt(N: int, n1: float, n2: float, rbar: float) -> float:
     """Optimal feed-forward gain; independent of the bias d."""
-    return 1.0 - N / ((N - 2) + 2.0 * math.exp(4.0 * rbar) * n2 / n1)
+    q = math.exp(-4.0 * rbar)
+    return 1.0 - N * q / ((N - 2) * q + 2.0 * n2 / n1)
 
 
 def d_N_opt(N: int, n1: float, n2: float, rbar: float, constrain: bool = False) -> float:
@@ -63,17 +71,35 @@ def d_N_opt(N: int, n1: float, n2: float, rbar: float, constrain: bool = False) 
     negative); with ``constrain=True`` it is clamped to the physical range,
     which is safe because phi is convex in d.
     """
-    d = rbar + 0.25 * math.log(N / ((N - 2) + 2.0 * math.exp(4.0 * rbar) * n2 / n1))
+    d = 0.25 * math.log(N / ((N - 2) * math.exp(-4.0 * rbar) + 2.0 * n2 / n1))
     if constrain:
         d = min(max(d, -rbar), rbar)
     return d
 
 
+def _phi_at(N: int, variances: tuple, g: float) -> float:
+    """Fidelity kernel (fidelity = phi^{-1/2}) of a resource's input variances."""
+    vx, vp = network_variances(N, variances, g)
+    return (vx + 2.0) * (vp + 2.0) / 4.0
+
+
 def _phi(spec_nd: tuple[int, float, float, float], d: float, g: float) -> float:
     """Fidelity kernel (fidelity = phi^{-1/2}) on raw, already validated inputs."""
     N, n1, n2, rbar = spec_nd
-    vx, vp = network_variances(N, input_variances(n1, n2, rbar + d, rbar - d), g)
-    return (vx + 2.0) * (vp + 2.0) / 4.0
+    return _phi_at(N, input_variances(n1, n2, rbar + d, rbar - d), g)
+
+
+def _fidelity(spec_nd: tuple[int, float, float, float], d: float, g: float) -> float:
+    """Fidelity at bias d and gain g on raw, already validated inputs."""
+    return _phi(spec_nd, d, g) ** -0.5
+
+
+def _optimum(N: int, n1: float, n2: float, rbar: float) -> tuple[float, float, float]:
+    """(g_opt, F_opt, eta_N) of the closed-form optimum on raw, already
+    validated inputs; the gain is inert at N = 2 and reported as 1."""
+    eta = _eta_N(N, n1, n2, rbar)
+    g = 1.0 if N == 2 else g_N_opt(N, n1, n2, rbar)
+    return g, 1.0 / (1.0 + eta), eta
 
 
 def optimal_fidelity(
@@ -85,14 +111,14 @@ def optimal_fidelity(
     clamp bites, the fidelity is re-evaluated at the boundary bias (still with
     optimal gain) and ``bias_clamped`` is set.
     """
-    eta = eta_generalized(ResourceSpec(N, n1, n2, rbar))
-    g = 1.0 if N == 2 else g_N_opt(N, n1, n2, rbar)
+    ResourceSpec(N, n1, n2, rbar)  # validates the inputs the kernels take raw
+    g, fid, eta = _optimum(N, n1, n2, rbar)
     d_raw = d_N_opt(N, n1, n2, rbar)
     if constrain_bias and abs(d_raw) > rbar:
         d = min(max(d_raw, -rbar), rbar)
-        fid = _phi((N, n1, n2, rbar), d, g) ** -0.5
+        fid = _fidelity((N, n1, n2, rbar), d, g)
         return OptimizationResult(d, g, fid, eta, "closed-form", bias_clamped=True)
-    return OptimizationResult(d_raw, g, 1.0 / (1.0 + eta), eta, "closed-form")
+    return OptimizationResult(d_raw, g, fid, eta, "closed-form")
 
 
 def golden_section(
@@ -145,24 +171,35 @@ def numerical_optimum(
     to contain the unconstrained optimum for any grid in this package.
     """
     spec = ResourceSpec(N, n1, n2, rbar)
-    key = (N, n1, n2, rbar)
     if d_bounds is None:
         d_bounds = (-rbar - 2.0, rbar + 2.0)
 
-    def best_g(d: float) -> float:
+    def variances(d: float) -> tuple:
+        return input_variances(n1, n2, rbar + d, rbar - d)
+
+    def best_g(v: tuple) -> float:
         if N == 2:
             return 1.0  # gain term has coefficient N-2 = 0
-        return golden_section(lambda g: _phi(key, d, g), *g_bounds, tol=tol)
+        return golden_section(lambda g: _phi_at(N, v, g), *g_bounds, tol=tol)
 
     def outer(d: float) -> float:
-        return _phi(key, d, best_g(d))
+        v = variances(d)  # once per d: the inner search varies only g
+        return _phi_at(N, v, best_g(v))
 
     d_star = golden_section(outer, *d_bounds, tol=tol)
-    g_star = best_g(d_star)
-    phi_star = _phi(key, d_star, g_star)
+    v_star = variances(d_star)
+    g_star = best_g(v_star)
+    phi_star = _phi_at(N, v_star, g_star)
     if not math.isfinite(phi_star):
         raise ArithmeticError("non-finite objective at the numerical optimum")
     return OptimizationResult(d_star, g_star, phi_star ** -0.5, eta_generalized(spec), "numerical")
+
+
+def _worst_case(spec_nd: tuple[int, float, float, float], g: float) -> WorstCase:
+    """worst_case on raw, already validated inputs at optimal gain g."""
+    rbar = spec_nd[3]
+    f_r1, f_r2 = _fidelity(spec_nd, -rbar, g), _fidelity(spec_nd, rbar, g)
+    return WorstCase(rbar, f_r2, "r2") if f_r2 < f_r1 else WorstCase(-rbar, f_r1, "r1")
 
 
 def worst_case(N: int, n1: float, n2: float, rbar: float) -> WorstCase:
@@ -170,39 +207,31 @@ def worst_case(N: int, n1: float, n2: float, rbar: float) -> WorstCase:
 
     d = -rbar zeroes r1 (the momentum squeezer), d = +rbar zeroes r2.
     """
-    ResourceSpec(N, n1, n2, rbar)  # validates the inputs _phi takes raw
-    g = g_N_opt(N, n1, n2, rbar)  # the gain is inert at N = 2
-    candidates = [
-        WorstCase(-rbar, _phi((N, n1, n2, rbar), -rbar, g) ** -0.5, "r1"),
-        WorstCase(rbar, _phi((N, n1, n2, rbar), rbar, g) ** -0.5, "r2"),
-    ]
-    return min(candidates, key=lambda w: w.fidelity_worst)
+    ResourceSpec(N, n1, n2, rbar)  # validates the inputs the kernel takes raw
+    return _worst_case((N, n1, n2, rbar), g_N_opt(N, n1, n2, rbar))  # g is inert at N = 2
 
 
-def d_unbiased(N: int, n1: float, n2: float, rbar: float, tol: float = 1e-12) -> UnbiasedBias:
+def _d_unbiased(N: int, n1: float, n2: float, rbar: float) -> float:
+    """d_unbiased on raw, already validated inputs.
+
+    With k = (N-1) n2 and q = e^{-4 rbar}, multiplying the residual by
+    e^{2(rbar+d)} gives e^{4d} = (k + n1 q)/(n1 + k q).  It is evaluated as
+    log1p((k - n1)(1 - q)/(n1 + k q)) with 1 - q from expm1, which keeps
+    full relative accuracy as rbar -> 0 (where q rounds to 1) and never
+    overflows; q itself comes from exp, as 1 + expm1 loses it at large rbar.
+    """
+    q = math.exp(-4.0 * rbar)
+    k = (N - 1) * n2
+    return 0.25 * math.log1p((k - n1) * -math.expm1(-4.0 * rbar) / (n1 + k * q))
+
+
+def d_unbiased(N: int, n1: float, n2: float, rbar: float) -> UnbiasedBias:
     """Bias making the N-splitter output unbiased in x and p.
 
-    Solves n1 sinh(2(rbar+d)) = (N-1) n2 sinh(2(rbar-d)) on [-rbar, rbar] by
-    bisection.  The left-hand side minus the right-hand side is increasing in
-    d with opposite signs at the endpoints whenever rbar > 0, so a root always
-    exists; the boundary fallback is kept for degenerate inputs.
+    The exact root of n1 sinh(2(rbar+d)) = (N-1) n2 sinh(2(rbar-d)):
+    d = (1/4) ln[(k + n1 q)/(n1 + k q)] with k = (N-1) n2 and q = e^{-4 rbar}.
+    The residual is increasing in d and changes sign on [-rbar, rbar] whenever
+    rbar > 0, so the root is interior and ``at_boundary`` is always False.
     """
-
-    def h(d: float) -> float:
-        return n1 * math.sinh(2.0 * (rbar + d)) - (N - 1) * n2 * math.sinh(2.0 * (rbar - d))
-
-    lo, hi = -rbar, rbar
-    flo, fhi = h(lo), h(hi)
-    if flo == 0.0:
-        return UnbiasedBias(lo, False)
-    if fhi == 0.0:
-        return UnbiasedBias(hi, False)
-    if flo * fhi > 0.0:
-        return UnbiasedBias(lo if abs(flo) < abs(fhi) else hi, True)
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if h(mid) * flo <= 0.0:
-            hi = mid
-        else:
-            lo, flo = mid, h(mid)
-    return UnbiasedBias(0.5 * (lo + hi), False)
+    ResourceSpec(N, n1, n2, rbar)  # validates the inputs the kernel takes raw
+    return UnbiasedBias(_d_unbiased(N, n1, n2, rbar), False)

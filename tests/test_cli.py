@@ -5,7 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from cvteleport.cli import main, sweep_rows
+import cvteleport as cv
+from cvteleport.cli import _fmt, main, sweep_rows
+from cvteleport.optimize import _phi
 
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -76,6 +78,43 @@ class TestLargeSqueezing:
         assert code == 0
         rec = record(out)
         assert rec["eta"] == pytest.approx(eta_split(200, 1, 1, 6, rec["d"]), rel=1e-9)
+
+    def test_fidelity_beyond_exp_overflow(self, capsys):
+        # e^{4 rbar} overflows above rbar of about 177
+        code, out, _ = run(capsys, "fidelity", "--N", "4", "--rbar", "200")
+        assert code == 0
+        assert record(out)["fidelity"] == 1.0
+
+    @pytest.mark.parametrize("command", ["entanglement", "localize"])
+    def test_localized_eof_where_E_T_rounds_to_1(self, capsys, command):
+        code, out, _ = run(capsys, command, "--N", "4", "--rbar", "100")
+        assert code == 0
+        rec = record(out)
+        assert rec["E_T"] == 1.0
+        # f(x) = ln(1/(4x)) + 1 + O(x ln x) as x -> 0, in bits
+        want = (1 - math.log(4 * rec["eta_N"])) / math.log(2)
+        assert rec["E_F_loc"] == pytest.approx(want, rel=1e-11)
+
+    @pytest.mark.parametrize("command", ["entanglement", "localize"])
+    @pytest.mark.parametrize("N", ["2", "4"])
+    def test_eta_products_past_exp_overflow_exit_2(self, capsys, command, N):
+        # their products reach e^{4 rbar}; past rbar of about 177 they must
+        # refuse, not print eta = 0
+        assert run(capsys, command, "--N", N, "--rbar", "177")[0] == 0
+        code, out, err = run(capsys, command, "--N", N, "--rbar", "178")
+        assert (code, out) == (2, "")
+        assert "overflows e^(4 rbar)" in err
+
+    def test_sweep_where_E_T_rounds_to_1(self, capsys):
+        code, out, _ = run(capsys, "sweep", "--rbar-min", "17", "--rbar-max", "19",
+                           "--steps", "3", "--N-list", "4")
+        assert code == 0
+        lines = out.strip().splitlines()
+        rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+        assert [float(r["rbar"]) for r in rows] == [17, 18, 19]
+        for r in rows:
+            want = (1 - math.log(4 * float(r["eta_N"]))) / math.log(2)
+            assert float(r["E_F_loc"]) == pytest.approx(want, rel=1e-11)
 
     @pytest.mark.parametrize("command", ["fidelity", "entanglement", "localize"])
     def test_ten_thousand_modes_under_50_ms(self, capsys, command):
@@ -249,3 +288,53 @@ class TestSweepRows:
         rows = sweep_rows([3], [0.5], 1.0, 1.0)
         assert rows[0]["F_opt"] == pytest.approx(0.696356133684, abs=1e-9)
         assert rows[0]["E_tau"] == pytest.approx(1.1330665667, abs=1e-8)
+
+    @pytest.mark.parametrize("n1,n2", [(1.0, 1.0), (1.5, 1.2), (1.1, 2.0)])
+    def test_rows_equal_the_validated_functions(self, n1, n2):
+        """Bit for bit: the rows skip the per-row validation, nothing else."""
+        Ns, rbars = [2, 3, 4, 8, 50, 10_000], [0.0, 0.05, 0.65, 1.7, 6.0, 12.0]
+        rows = iter(sweep_rows(Ns, rbars, n1, n2))
+        for N in Ns:
+            for rbar in rbars:
+                row = next(rows)
+                opt = cv.optimal_fidelity(N, n1, n2, rbar)
+                E_T = cv.entanglement_of_teleportation(opt.eta_N)
+                key = (N, n1, n2, rbar)
+                pure = N == 3 and n1 == n2 == 1.0
+                assert row == {
+                    "N": N, "rbar": rbar,
+                    "F_opt": opt.fidelity_opt,
+                    "F_equal": _phi(key, 0.0, opt.g_opt) ** -0.5,
+                    "F_unbiased": _phi(key, cv.d_unbiased(*key).d, opt.g_opt) ** -0.5,
+                    "F_worst": cv.worst_case(*key).fidelity_worst,
+                    "eta_N": cv.eta_generalized(cv.ResourceSpec(*key)),
+                    "E_T": E_T,
+                    "E_F_loc": cv.eof_symmetric(opt.eta_N),
+                    "E_tau": cv.contangle_from_ET(E_T) if pure else None,
+                }
+
+    @pytest.mark.parametrize("rbars,n1,message", [
+        ([0.5, math.nan, 1.0], 1.0, "rbar must be finite"),
+        ([0.5, math.inf], 1.0, "rbar must be finite"),
+        ([0.5, -0.1, 1.0], 1.0, "rbar must be >= 0"),
+        ([0.5, 1.0], 0.5, "thermal noise"),
+    ])
+    def test_every_row_still_validated(self, rbars, n1, message):
+        with pytest.raises(ValueError, match=message):
+            sweep_rows([4], rbars, n1, 1.0)
+
+    def test_fixture_cell_at_50_digits(self):
+        """The default sweep's N = 4, rbar = 0.65 F_unbiased is 0.72731717643049...;
+        the former bisection printed 0.727317176431."""
+        mp = pytest.importorskip("mpmath").mp
+        mp.dps = 50
+        N, r = 4, mp.mpf(0.65)
+        d = mp.log((3 + mp.exp(-4 * r)) / (1 + 3 * mp.exp(-4 * r))) / 4
+        g = 1 - N / ((N - 2) + 2 * mp.exp(4 * r))
+        v1p, v2x, v2p = mp.exp(-2 * (r + d)), mp.exp(-2 * (r - d)), mp.exp(2 * (r - d))
+        var_p = ((2 + (N - 2) * g) ** 2 * v1p + 2 * (g - 1) ** 2 * (N - 2) * v2p) / N
+        want = ((2 * v2x + 2) * (var_p + 2) / 4) ** mp.mpf(-0.5)
+        assert mp.nstr(want, 14) == "0.72731717643049"
+        got = sweep_rows([4], [0.65], 1.0, 1.0)[0]["F_unbiased"]
+        assert abs(got - want) <= 1e-15 * want
+        assert _fmt(got) == "0.72731717643"

@@ -101,6 +101,22 @@ class TestEofSymmetric:
         with pytest.raises(ValueError):
             cv.eof_symmetric(-0.1)
 
+    def test_against_700_digits(self):
+        """a ln a - b ln b cancels as eta -> 0 (0.21 relative error at the
+        eta_N of rbar = 18); ln(1 + b) + 4b atanh(eta) keeps every digit."""
+        mp = pytest.importorskip("mpmath").mp
+        mp.dps = 700
+        xs = [10.0 ** -e for e in range(0, 301, 7)] + list(np.linspace(1e-3, 1 - 1e-3, 50))
+        xs += [1 - 2.0 ** -k for k in (10, 30, 52)]
+        for x in xs:
+            if x >= 1.0:
+                continue
+            m = mp.mpf(x)
+            a, b = (1 + m) ** 2 / (4 * m), (1 - m) ** 2 / (4 * m)
+            for base in (2.0, math.e):
+                want = (a * mp.log(a) - b * mp.log(b)) / mp.log(base)
+                assert abs(cv.eof_symmetric(x, base) - want) <= 1e-15 * want, x
+
 
 class TestEtaGeneralized:
     def test_reduces_to_two_mode(self):
@@ -228,6 +244,13 @@ class TestReport:
     def test_mixed_three_mode_skips_contangle(self):
         rep = cv.entanglement_report(cv.ResourceSpec(3, 1.5, 1.0, 0.5, 0.0))
         assert rep.E_tau is None
+
+    def test_localized_eof_from_eta_N(self):
+        # E_T rounds to 1 at rbar = 100; E_F_loc comes from eta_N itself
+        for rbar in (0.5, 18.0, 100.0):
+            rep = cv.entanglement_report(cv.ResourceSpec(4, 1, 1, rbar, 0.0))
+            assert rep.E_F_loc == cv.eof_symmetric(rep.eta_N)
+            assert rep.E_F_loc > 0
 
     def test_two_mode_fields(self):
         rep = cv.entanglement_report(cv.ResourceSpec(2, 1, 1, 0.5, 0.0))

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cvteleport as cv
 from cvteleport.optimize import _phi
@@ -71,6 +73,28 @@ class TestDNOpt:
         raw = cv.d_N_opt(50, 2, 1, 0.0)
         assert raw > 0.0
         assert cv.d_N_opt(50, 2, 1, 0.0, constrain=True) == 0.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    N=st.integers(2, 10_000),
+    n1=st.floats(1.0, 10.0),
+    n2=st.floats(1.0, 10.0),
+    rbar=st.floats(0.0, 300.0),
+)
+def test_q_forms_match_the_exp_forms_at_50_digits(N, n1, n2, rbar):
+    """g_N_opt, d_N_opt and eta_N, written with q = e^{-4 rbar}, against the
+    e^{4 rbar} forms evaluated at 50 digits, past the old overflow at 177."""
+    mp = pytest.importorskip("mpmath").mp
+    mp.dps = 50
+    E = mp.exp(4 * mp.mpf(rbar))
+    den = (N - 2) + 2 * E * mp.mpf(n2) / n1
+    g, d = 1 - N / den, rbar + mp.log(N / den) / 4
+    eta = mp.sqrt(N * mp.mpf(n1) * n2 / (2 * E + (N - 2) * mp.mpf(n1) / n2))
+    assert abs(cv.g_N_opt(N, n1, n2, rbar) - g) <= 1e-15 * max(1, abs(g))
+    assert abs(cv.d_N_opt(N, n1, n2, rbar) - d) <= 1e-15 * max(1, abs(d))
+    got = cv.eta_generalized(cv.ResourceSpec(N, n1, n2, rbar))
+    assert abs(got - eta) <= 1e-15 * eta
 
 
 class TestOptimalFidelity:
@@ -194,6 +218,16 @@ class TestDUnbiased:
         rhs = 2 * math.sinh(2 * (0.5 - res.d))
         assert lhs == pytest.approx(rhs, abs=1e-10)
 
+    def test_inputs_validated(self):
+        with pytest.raises(ValueError, match="n1 must be finite"):
+            cv.d_unbiased(4, math.nan, 1, 1)
+        with pytest.raises(ValueError, match="thermal noise"):
+            cv.d_unbiased(4, 0.5, 1, 1)
+        with pytest.raises(ValueError, match="rbar must be >= 0"):
+            cv.d_unbiased(4, 1, 1, -0.1)
+        with pytest.raises(ValueError, match="N must be an integer"):
+            cv.d_unbiased(1, 1, 1, 0.5)
+
     def test_resulting_cm_unbiased(self):
         res = cv.d_unbiased(3, 1, 1, 0.5)
         cm = cv.build_resource(cv.ResourceSpec(3, 1, 1, 0.5, res.d))
@@ -214,3 +248,32 @@ class TestDUnbiased:
             assert f_worst <= f_equal + 1e-12
             assert f_equal <= f_opt + 1e-12
             assert f_unbiased <= f_opt + 1e-12
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    N=st.integers(2, 10_000),
+    n1=st.floats(1.0, 10.0),
+    n2=st.floats(1.0, 10.0),
+    rbar=st.floats(0.0, 20.0, allow_subnormal=False),
+)
+def test_d_unbiased_is_the_root(N, n1, n2, rbar):
+    """The closed form solves n1 sinh(2(rbar+d)) = (N-1) n2 sinh(2(rbar-d)).
+
+    The residual, evaluated at 50 digits at the returned d, is at most 1e-12
+    of its slope times rbar: d is a root to 1e-12 of rbar.  (Relative to its
+    two terms, no double d reaches 1e-12 when rbar - d << rbar, as for k >> n1.)
+    The root matches a 50-digit evaluation of the closed form to 1e-14 of
+    max(|d|, rbar).
+    """
+    mp = pytest.importorskip("mpmath").mp
+    mp.dps = 50
+    res = cv.d_unbiased(N, n1, n2, rbar)
+    assert not res.at_boundary
+    assert abs(res.d) < rbar or res.d == rbar == 0.0
+    r, d, n1m, k = mp.mpf(rbar), mp.mpf(res.d), mp.mpf(n1), (N - 1) * mp.mpf(n2)
+    residual = n1m * mp.sinh(2 * (r + d)) - k * mp.sinh(2 * (r - d))
+    slope = 2 * n1m * mp.cosh(2 * (r + d)) + 2 * k * mp.cosh(2 * (r - d))
+    assert abs(residual) <= 1e-12 * slope * r
+    root = mp.log1p((k - n1m) * -mp.expm1(-4 * r) / (n1m + k * mp.exp(-4 * r))) / 4
+    assert abs(d - root) <= 1e-14 * max(abs(root), r)
