@@ -33,11 +33,15 @@ print("\nE_T:", E_T)
 print("E_F_loc:", cv.eof_localizable(E_T))
 
 # The contangle measures genuine three-party entanglement of the pure
-# symmetric three-mode resource. It diverges as E_T approaches 1.
+# symmetric three-mode resource. It diverges as E_T approaches 1, and stays
+# finite for every E_T < 1.
 print("E_tau:", cv.contangle_from_ET(E_T))
-for E in (0.5, 0.9, 0.99, 0.999999):
+for E in (0.5, 0.9, 0.99, 0.999999, 1 - 1e-15):
     print(f"  E_T = {E}  ->  E_tau = {cv.contangle_from_ET(E):.6f}")
 
-# One call assembles everything that applies to a given resource.
+# One call assembles everything that applies to a given resource. Its E_tau
+# comes from eta_N, so it holds where E_T itself has rounded to 1.
 rep = cv.entanglement_report(spec3)
 print("\nfull report:", rep)
+strong = cv.entanglement_report(cv.ResourceSpec(3, 1.0, 1.0, rbar=20))
+print("at rbar = 20: E_T =", strong.E_T, " E_tau =", strong.E_tau)

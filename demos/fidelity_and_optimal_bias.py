@@ -37,5 +37,5 @@ print("\nworst-case fidelity at |d| = rbar:", w.fidelity_worst)
 print("which squeezer was switched off:  ", w.zeroed_squeezer)
 
 # Unbiased operation point: both squeezer types work equally hard.
-ub = cv.d_unbiased(N, n1, n2, rbar)
-print("\nequal-effort bias:", ub.d)
+d_ub = cv.d_unbiased(N, n1, n2, rbar)
+print("\nequal-effort bias:", d_ub)

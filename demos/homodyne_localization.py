@@ -25,7 +25,8 @@ for mode in (3, 2):
           "physical" if np.all(cv.symplectic_eigenvalues(state) >= 1 - 1e-9)
           else "UNPHYSICAL")
 
-# The one-call version keeps modes (0, 1) by default.
+# The one-call version keeps modes (0, 1) by default and measures the other
+# N - 2 momenta at once: one Schur complement against their p block.
 loc = cv.localize(sigma)
 print("\nlocalized two-mode CM:")
 print(np.round(loc.cm.entries, 6))

@@ -28,7 +28,6 @@ from .gaussian import (
 )
 from .entanglement import (
     EntanglementReport,
-    TwoModeBlocks,
     contangle_from_ET,
     entanglement_of_teleportation,
     entanglement_report,
@@ -53,7 +52,6 @@ from .teleport import (
 )
 from .optimize import (
     OptimizationResult,
-    UnbiasedBias,
     WorstCase,
     d_N_opt,
     d_opt_two_mode,

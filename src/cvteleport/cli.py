@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .gaussian import ResourceSpec, build_resource
 from .entanglement import (
-    contangle_from_ET, entanglement_of_teleportation, entanglement_report, eof_symmetric)
+    _contangle, entanglement_of_teleportation, entanglement_report, eof_symmetric)
 from .localize import localizable_report
 from .mc import McConfig, simulate
 from .optimize import (
@@ -162,7 +162,6 @@ def sweep_rows(N_list, rbars, n1: float, n2: float, base: float = 2.0) -> list[d
         for rbar in rbars:
             key = (N, n1, n2, rbar)
             g, F_opt, eta_N = _optimum(*key)
-            E_T = entanglement_of_teleportation(eta_N)
             rows.append({
                 "N": N, "rbar": rbar,
                 "F_opt": F_opt,
@@ -170,9 +169,9 @@ def sweep_rows(N_list, rbars, n1: float, n2: float, base: float = 2.0) -> list[d
                 "F_unbiased": _fidelity(key, _d_unbiased(*key), g),
                 "F_worst": _worst_case(key, g).fidelity_worst,
                 "eta_N": eta_N,
-                "E_T": E_T,
+                "E_T": entanglement_of_teleportation(eta_N),
                 "E_F_loc": eof_symmetric(eta_N, base),
-                "E_tau": contangle_from_ET(E_T, base) if pure_three_mode else None,
+                "E_tau": _contangle(eta_N, base) if pure_three_mode else None,
             })
     return rows
 

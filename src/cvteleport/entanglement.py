@@ -17,22 +17,13 @@ import numpy as np
 from .gaussian import CovarianceMatrix, ResourceSpec
 
 DISCRIMINANT_TOL = 1e-9
-GHZ_LIMIT_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class TwoModeBlocks:
-    """alpha/beta: single-mode 2x2 blocks; gamma: intermodal correlations."""
-
-    alpha: np.ndarray
-    beta: np.ndarray
-    gamma: np.ndarray
-
-    @classmethod
-    def from_cm(cls, sigma: CovarianceMatrix) -> "TwoModeBlocks":
-        if sigma.n_modes != 2:
-            raise ValueError(f"expected a two-mode state, got {sigma.n_modes} modes")
-        return cls(sigma.mode_block(0, 0), sigma.mode_block(1, 1), sigma.mode_block(0, 1))
+def _blocks(sigma: CovarianceMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """alpha, beta (single-mode blocks) and gamma (correlations) of a two-mode CM."""
+    if sigma.n_modes != 2:
+        raise ValueError(f"expected a two-mode state, got {sigma.n_modes} modes")
+    return sigma.mode_block(0, 0), sigma.mode_block(1, 1), sigma.mode_block(0, 1)
 
 
 @dataclass(frozen=True)
@@ -60,8 +51,8 @@ def eta_two_mode(sigma: CovarianceMatrix) -> float:
     Uses the determinant formula 2 eta^2 = S - sqrt(S^2 - 4 det sigma) with
     S = det alpha + det beta - 2 det gamma.
     """
-    b = TwoModeBlocks.from_cm(sigma)
-    S = float(np.linalg.det(b.alpha) + np.linalg.det(b.beta) - 2.0 * np.linalg.det(b.gamma))
+    alpha, beta, gamma = _blocks(sigma)
+    S = float(np.linalg.det(alpha) + np.linalg.det(beta) - 2.0 * np.linalg.det(gamma))
     det = float(np.linalg.det(sigma.entries))
     disc = S * S - 4.0 * det
     if disc < -DISCRIMINANT_TOL:
@@ -147,27 +138,40 @@ def eof_localizable(E_T: float, base: float = 2.0) -> float:
     return _f((1.0 - E_T) / (1.0 + E_T), base)
 
 
+def _contangle(eta_N: float, base: float = 2.0) -> float:
+    """Residual contangle of the pure symmetric three-mode resource from eta_N.
+
+    With E = E_T, it is l1^2 - l2^2 / 2 for l2 = ln[(E^2 + 1)/(E^2 + 4E + 1)]
+    and l1 = ln[(2 sqrt2 E - (E+1) sqrt(E^2+1)) / ((E-1) sqrt(E^2+4E+1))].
+    Both terms of that ratio vanish as E -> 1 with the common factor
+    (E-1)^2 (E^2+4E+1), so l1 is taken as
+    ln[(1 - E) sqrt(E^2+4E+1) / (2 sqrt2 E + (E+1) sqrt(E^2+1))], with
+    ln(1 - E) = ln eta_N + ln(1 + E) from eta_N itself and log1p for the
+    small-E terms: it stays finite wherever eta_N > 0.
+    """
+    if eta_N >= 1.0:
+        return 0.0
+    E = (1.0 - eta_N) / (1.0 + eta_N)
+    r = math.sqrt(E * E + 1.0)
+    # the last denominator is 1 + E (2 sqrt2 + r) + (r - 1), with r - 1 = E^2/(r + 1)
+    l1 = (math.log(eta_N) + math.log1p(E) + 0.5 * math.log1p(E * (E + 4.0))
+          - math.log1p(E * (2.0 * math.sqrt(2.0) + r + E / (r + 1.0))))
+    l2 = math.log1p(E * E) - math.log1p(E * (E + 4.0))
+    lb = math.log(base)
+    return (l1 / lb) ** 2 - 0.5 * (l2 / lb) ** 2
+
+
 def contangle_from_ET(E_T: float, base: float = 2.0, pure_three_mode: bool = True) -> float:
     """Residual contangle of a pure symmetric three-mode resource from E_T.
 
     Valid only for pure three-mode symmetric states; the caller asserts this
-    via ``pure_three_mode``.  Returns math.inf for E_T within 1e-12 of the
-    (unnormalizable) GHZ limit E_T = 1.
+    via ``pure_three_mode``.  It diverges as E_T -> 1, the GHZ limit.
     """
     if not pure_three_mode:
         raise ValueError("contangle formula is valid only for pure symmetric three-mode states")
     if not 0.0 <= E_T < 1.0:
         raise ValueError(f"E_T must lie in [0, 1), got {E_T}")
-    if E_T >= 1.0 - GHZ_LIMIT_TOL:
-        return math.inf
-    if E_T == 0.0:
-        return 0.0
-    lb = math.log(base)
-    num = 2.0 * math.sqrt(2.0) * E_T - (E_T + 1.0) * math.sqrt(E_T ** 2 + 1.0)
-    den = (E_T - 1.0) * math.sqrt(E_T * (E_T + 4.0) + 1.0)
-    first = math.log(num / den) / lb
-    second = math.log((E_T ** 2 + 1.0) / (E_T * (E_T + 4.0) + 1.0)) / lb
-    return first ** 2 - 0.5 * second ** 2
+    return _contangle((1.0 - E_T) / (1.0 + E_T), base)
 
 
 def epr_eta_symmetric(sigma: CovarianceMatrix, tol: float = 1e-8) -> float:
@@ -176,8 +180,8 @@ def epr_eta_symmetric(sigma: CovarianceMatrix, tol: float = 1e-8) -> float:
     4 eta = <(x1 - x2)^2> + <(p1 + p2)^2>; holds only when det alpha equals
     det beta, so asymmetric inputs are rejected.
     """
-    b = TwoModeBlocks.from_cm(sigma)
-    da, db = np.linalg.det(b.alpha), np.linalg.det(b.beta)
+    alpha, beta, _ = _blocks(sigma)
+    da, db = np.linalg.det(alpha), np.linalg.det(beta)
     if abs(da - db) > tol * max(1.0, abs(da), abs(db)):
         raise ValueError("EPR identity requires a symmetric state (det alpha = det beta)")
     m = sigma.entries
@@ -231,5 +235,5 @@ def entanglement_report(spec: ResourceSpec, base: float = 2.0) -> EntanglementRe
         E_F=eof_symmetric(eta, base) if spec.N == 2 else None,
         E_T=E_T,
         E_F_loc=eof_symmetric(eta_n, base),
-        E_tau=contangle_from_ET(E_T, base) if is_pure_three else None,
+        E_tau=_contangle(eta_n, base) if is_pure_three else None,
     )

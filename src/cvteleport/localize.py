@@ -1,8 +1,8 @@
 """Homodyne conditioning and localizable entanglement.
 
-Measuring one quadrature of a mode updates the covariance matrix of the
-remaining modes by a rank-1 Schur complement that is independent of the
-measurement outcome.  Conditioning away all but two modes of the symmetric
+Measuring one quadrature on each of a set of modes updates the covariance
+matrix of the remaining modes by a Schur complement that is independent of
+the measurement outcomes.  Conditioning away all but two modes of the symmetric
 resource "localizes" the multipartite entanglement into a two-mode state whose
 PPT eigenvalue equals the generalized eigenvalue eta_N.  ``homodyne_condition``
 and ``localize`` act on any covariance matrix; ``localizable_eta`` is their
@@ -34,47 +34,46 @@ class ConditionalState:
     quadratures: tuple[str, ...]
 
 
-def homodyne_condition(sigma: CovarianceMatrix, mode: int, quadrature: str = "p") -> ConditionalState:
-    """Condition on an ideal homodyne detection of one quadrature of one mode.
+def _condition(sigma: CovarianceMatrix, modes: tuple, quadrature: str) -> ConditionalState:
+    """Condition on ideal homodyne detection of one quadrature on each of ``modes``.
 
-    With sigma partitioned into kept block A, measured-mode block B and
-    correlations C, the output is A - C (Pi B Pi)^+ C^T where Pi projects on
-    the measured quadrature; the pseudoinverse is the explicit rank-1 form
-    Pi / B_qq.
+    With sigma partitioned into the unmeasured modes' block A, the measured
+    quadratures' block B and their correlations C, the output is the Schur
+    complement A - C B^-1 C^T, independent of the outcomes; it is validated once.
     """
+    measured = [2 * j + (quadrature == "p") for j in modes]
+    gone = {2 * j + q for j in modes for q in (0, 1)}
+    keep = [i for i in range(2 * sigma.n_modes) if i not in gone]
+    m = sigma.entries
+    c = m[np.ix_(keep, measured)]
+    out = m[np.ix_(keep, keep)] - c @ np.linalg.solve(m[np.ix_(measured, measured)], c.T)
+    return ConditionalState(CovarianceMatrix(0.5 * (out + out.T)), tuple(modes),
+                            (quadrature,) * len(modes))
+
+
+def homodyne_condition(sigma: CovarianceMatrix, mode: int, quadrature: str = "p") -> ConditionalState:
+    """Condition on an ideal homodyne detection of one quadrature of one mode:
+    the rank-1 Schur complement A - c c^T / B_qq."""
     if sigma.n_modes < 2:
         raise ValueError("need at least two modes to condition")
     if not 0 <= mode < sigma.n_modes:
         raise ValueError(f"mode {mode} out of range for {sigma.n_modes} modes")
     if quadrature not in ("x", "p"):
         raise ValueError(f"quadrature must be 'x' or 'p', got {quadrature!r}")
-    q = 2 * mode + (0 if quadrature == "x" else 1)
-    keep = [i for i in range(2 * sigma.n_modes) if i not in (2 * mode, 2 * mode + 1)]
-    m = sigma.entries
-    b_qq = m[q, q]
-    if b_qq <= 0.0:
-        raise ArithmeticError(f"non-positive measured variance {b_qq}")
-    c = m[np.ix_(keep, [q])].ravel()
-    out = m[np.ix_(keep, keep)] - np.outer(c, c) / b_qq
-    return ConditionalState(CovarianceMatrix(0.5 * (out + out.T)), (mode,), (quadrature,))
+    return _condition(sigma, (mode,), quadrature)
 
 
 def localize(sigma: CovarianceMatrix, keep: tuple[int, int] = (0, 1)) -> ConditionalState:
-    """Momentum-detect every mode except the kept pair.
-
-    Conditioning operations commute, so the measurement order is irrelevant;
-    modes are measured from the highest index down to keep bookkeeping simple.
+    """Momentum-detect every mode except the kept pair, in one Schur complement
+    against their p block; ``measured_modes`` lists them in descending order.
     """
     k, l = keep
     if k == l or not (0 <= k < sigma.n_modes and 0 <= l < sigma.n_modes):
         raise ValueError(f"invalid kept pair {keep} for {sigma.n_modes} modes")
     if sigma.n_modes < 3:
         raise ValueError("localization needs at least three modes")
-    to_measure = sorted(set(range(sigma.n_modes)) - {k, l}, reverse=True)
-    state = sigma
-    for mode in to_measure:  # descending, so earlier removals don't shift later indices
-        state = homodyne_condition(state, mode, "p").cm
-    return ConditionalState(state, tuple(to_measure), ("p",) * len(to_measure))
+    measured = sorted(set(range(sigma.n_modes)) - {k, l}, reverse=True)
+    return _condition(sigma, tuple(measured), "p")
 
 
 def localizable_eta(spec: ResourceSpec, keep: tuple[int, int] = (0, 1)) -> float:

@@ -14,14 +14,26 @@ the shard merge is order independent by construction.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from .gaussian import ResourceSpec, n_splitter
-from .teleport import OPTIMAL, ProtocolParams, fidelity_from_variances
+from .teleport import ProtocolParams, _checked_gain, fidelity_from_variances
 
 _CHUNK = 1 << 16
+_SHARDS = 16
+
+
+def _check_draws(samples, seed) -> None:
+    """Sample counts and seeds are nonnegative integers, with a sample per shard."""
+    for name, value in (("samples", samples), ("seed", seed)):
+        if not isinstance(value, numbers.Integral) or value < 0:
+            raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
+    if samples < _SHARDS:
+        raise ValueError(f"need at least {_SHARDS} samples, one per shard, got {samples}")
 
 
 @dataclass(frozen=True)
@@ -30,13 +42,9 @@ class McConfig:
     seed: int
     spec: ResourceSpec
     params: ProtocolParams = field(default_factory=ProtocolParams)
-    shards: int = 16
 
     def __post_init__(self):
-        if self.samples < 2:
-            raise ValueError(f"need at least 2 samples, got {self.samples}")
-        if self.shards < 2:
-            raise ValueError("need at least 2 shards for the jackknife error")
+        _check_draws(self.samples, self.seed)
 
 
 @dataclass(frozen=True)
@@ -57,29 +65,52 @@ def _input_scales(spec: ResourceSpec) -> tuple[np.ndarray, np.ndarray]:
     return sx, sp
 
 
-def _shard_sums(
-    rng: np.random.Generator,
-    count: int,
-    spec: ResourceSpec,
-    wx: np.ndarray,
-    wp: np.ndarray,
-) -> tuple[float, float, float, float]:
-    """Sums and sums of squares of (x_rel, p_tot) over one shard."""
+def _shard_sums(spec: ResourceSpec, cx: np.ndarray, cp: np.ndarray, samples: int, seed: int,
+                forms: Callable[[np.ndarray, np.ndarray], tuple]) -> tuple[list, list]:
+    """Shard sizes and, per shard, the sum and the sum of squares of each
+    sample of ``forms(x @ cx, p @ cp)`` on the output quadratures x, p.  Shard i
+    draws from Philox keyed by (seed, i), the x and then the p input normals of
+    up to _CHUNK samples at a time.
+    """
+    O = n_splitter(spec.N).entries[0::2, 0::2]  # x-sector orthogonal matrix
+    wx, wp = O.T @ cx, O.T @ cp  # the forms pulled back onto the input modes
     sx, sp = _input_scales(spec)
-    s1 = s2 = t1 = t2 = 0.0
-    done = 0
-    while done < count:
-        m = min(_CHUNK, count - done)
-        x = rng.standard_normal((m, spec.N)) * sx
-        p = rng.standard_normal((m, spec.N)) * sp
-        xr = x @ wx
-        pt = p @ wp
-        s1 += float(xr.sum())
-        s2 += float((xr * xr).sum())
-        t1 += float(pt.sum())
-        t2 += float((pt * pt).sum())
-        done += m
-    return s1, s2, t1, t2
+    counts = [samples // _SHARDS] * _SHARDS
+    counts[-1] += samples - sum(counts)
+    sums = []
+    for shard, count in enumerate(counts):
+        rng = np.random.Generator(np.random.Philox(key=[seed, shard]))
+        total = 0.0
+        for done in range(0, count, _CHUNK):
+            m = min(_CHUNK, count - done)
+            # the m x N input draws live one at a time, x before p
+            xr = (rng.standard_normal((m, spec.N)) * sx) @ wx
+            pt = (rng.standard_normal((m, spec.N)) * sp) @ wp
+            chunk = [t for v in forms(xr, pt) for t in (v.sum(), (v * v).sum())]
+            total = total + np.array(chunk)
+        sums.append(total.tolist())
+    return counts, sums
+
+
+def _variance(n: int, s1: float, s2: float) -> float:
+    """Unbiased sample variance from the count, sum and sum of squares."""
+    return (s2 - s1 * s1 / n) / (n - 1)
+
+
+def _pooled(counts: list, sums: list, skip: int | None = None) -> list:
+    """The sample count and the summed sums of every shard but ``skip``."""
+    kept = [i for i in range(len(counts)) if i != skip]
+    totals = [sum(sums[i][j] for i in kept) for j in range(len(sums[0]))]
+    return [sum(counts[i] for i in kept), *totals]
+
+
+def _jackknife(stat: Callable[..., float], counts: list, sums: list) -> tuple[float, float]:
+    """``stat(n, *sums)`` of all shards pooled, and its delete-one-shard
+    jackknife standard error."""
+    loo = [stat(*_pooled(counts, sums, i)) for i in range(len(counts))]
+    mean_loo = sum(loo) / len(loo)
+    se = math.sqrt((len(loo) - 1) / len(loo) * sum((f - mean_loo) ** 2 for f in loo))
+    return stat(*_pooled(counts, sums)), max(se, 1e-300)
 
 
 def simulate(config: McConfig) -> McEstimate:
@@ -89,53 +120,26 @@ def simulate(config: McConfig) -> McEstimate:
     delete-one-shard jackknife.
     """
     spec, params = config.spec, config.params
-    if params.gain == OPTIMAL:
-        from .optimize import g_N_opt
-
-        gain = 1.0 if spec.N == 2 else g_N_opt(spec.N, spec.n1, spec.n2, spec.rbar)
-    else:
-        gain = float(params.gain)
-
-    O = n_splitter(spec.N).entries[0::2, 0::2]  # x-sector orthogonal matrix
-    # weights pulling x_rel / p_tot back onto the input modes
+    gain = _checked_gain(spec, params)
     c_x = np.zeros(spec.N)
     c_x[params.sender] = 1.0
     c_x[params.receiver] = -1.0
     c_p = np.full(spec.N, gain)
     c_p[params.sender] = 1.0
     c_p[params.receiver] = 1.0
-    wx = O.T @ c_x
-    wp = O.T @ c_p
+    counts, sums = _shard_sums(spec, c_x, c_p, config.samples, config.seed,
+                               lambda xr, pt: (xr, pt))
 
-    counts = [config.samples // config.shards] * config.shards
-    counts[-1] += config.samples - sum(counts)
-    sums = []
-    for shard, count in enumerate(counts):
-        rng = np.random.Generator(np.random.Philox(key=[config.seed, shard]))
-        sums.append(_shard_sums(rng, count, spec, wx, wp))
+    def variances(n, s1, s2, t1, t2) -> tuple[float, float]:
+        return max(_variance(n, s1, s2), 0.0), max(_variance(n, t1, t2), 0.0)
 
-    def variances(skip: int | None) -> tuple[float, float]:
-        n = sum(c for i, c in enumerate(counts) if i != skip)
-        s1 = sum(s[0] for i, s in enumerate(sums) if i != skip)
-        s2 = sum(s[1] for i, s in enumerate(sums) if i != skip)
-        t1 = sum(s[2] for i, s in enumerate(sums) if i != skip)
-        t2 = sum(s[3] for i, s in enumerate(sums) if i != skip)
-        vx = (s2 - s1 * s1 / n) / (n - 1)
-        vp = (t2 - t1 * t1 / n) / (n - 1)
-        return max(vx, 0.0), max(vp, 0.0)
-
-    vx, vp = variances(None)
-    fid = fidelity_from_variances(vx, vp)
-    loo = [fidelity_from_variances(*variances(i)) for i in range(config.shards)]
-    mean_loo = sum(loo) / config.shards
-    se = math.sqrt(
-        (config.shards - 1) / config.shards * sum((f - mean_loo) ** 2 for f in loo)
-    )
-    return McEstimate(fid, max(se, 1e-300), vx, vp, config.samples)
+    fid, se = _jackknife(lambda *pooled: fidelity_from_variances(*variances(*pooled)), counts, sums)
+    vx, vp = variances(*_pooled(counts, sums))
+    return McEstimate(fid, se, vx, vp, config.samples)
 
 
 def variance_of_form(
-    coefficients: np.ndarray, spec: ResourceSpec, samples: int, seed: int, shards: int = 16
+    coefficients: np.ndarray, spec: ResourceSpec, samples: int, seed: int
 ) -> McEstimate:
     """Sampled estimate of u^T sigma u for the built resource.
 
@@ -147,36 +151,8 @@ def variance_of_form(
     c = np.asarray(coefficients, dtype=float)
     if c.shape != (2 * spec.N,):
         raise ValueError(f"expected {2 * spec.N} coefficients, got shape {c.shape}")
-    if samples < 2:
-        raise ValueError(f"need at least 2 samples, got {samples}")
-    O = n_splitter(spec.N).entries[0::2, 0::2]
-    wx = O.T @ c[0::2]
-    wp = O.T @ c[1::2]
-    sx, sp = _input_scales(spec)
-    counts = [samples // shards] * shards
-    counts[-1] += samples - sum(counts)
-    sums = []
-    for shard, count in enumerate(counts):
-        rng = np.random.Generator(np.random.Philox(key=[seed, shard]))
-        s1 = s2 = 0.0
-        done = 0
-        while done < count:
-            m = min(_CHUNK, count - done)
-            v = (rng.standard_normal((m, spec.N)) * sx) @ wx
-            v += (rng.standard_normal((m, spec.N)) * sp) @ wp
-            s1 += float(v.sum())
-            s2 += float((v * v).sum())
-            done += m
-        sums.append((s1, s2))
-
-    def var(skip: int | None) -> float:
-        n = sum(cn for i, cn in enumerate(counts) if i != skip)
-        s1 = sum(s[0] for i, s in enumerate(sums) if i != skip)
-        s2 = sum(s[1] for i, s in enumerate(sums) if i != skip)
-        return (s2 - s1 * s1 / n) / (n - 1)
-
-    v_hat = var(None)
-    loo = [var(i) for i in range(shards)]
-    mean_loo = sum(loo) / shards
-    se = math.sqrt((shards - 1) / shards * sum((v - mean_loo) ** 2 for v in loo))
-    return McEstimate(float("nan"), max(se, 1e-300), v_hat, float("nan"), samples)
+    _check_draws(samples, seed)
+    counts, sums = _shard_sums(spec, c[0::2], c[1::2], samples, seed,
+                               lambda xr, pt: (xr + pt,))
+    v_hat, se = _jackknife(_variance, counts, sums)
+    return McEstimate(float("nan"), se, v_hat, float("nan"), samples)

@@ -45,14 +45,6 @@ class WorstCase(NamedTuple):
     zeroed_squeezer: str  # "r1" or "r2"
 
 
-class UnbiasedBias(NamedTuple):
-    """The unbiased bias d; at_boundary is always False on valid inputs, where
-    the root lies strictly inside (-rbar, rbar) for rbar > 0 (d = 0 at rbar = 0)."""
-
-    d: float
-    at_boundary: bool
-
-
 def d_opt_two_mode(n1: float, n2: float) -> float:
     """Bias minimizing the two-mode fidelity kernel: (1/4) ln(n1/n2)."""
     return 0.25 * math.log(n1 / n2)
@@ -64,17 +56,13 @@ def g_N_opt(N: int, n1: float, n2: float, rbar: float) -> float:
     return 1.0 - N * q / ((N - 2) * q + 2.0 * n2 / n1)
 
 
-def d_N_opt(N: int, n1: float, n2: float, rbar: float, constrain: bool = False) -> float:
+def d_N_opt(N: int, n1: float, n2: float, rbar: float) -> float:
     """Optimal squeezing bias for the N-user network.
 
-    The raw formula can leave [-rbar, rbar] (driving one input squeezing
-    negative); with ``constrain=True`` it is clamped to the physical range,
-    which is safe because phi is convex in d.
+    The formula can leave [-rbar, rbar] (driving one input squeezing
+    negative); ``optimal_fidelity(..., constrain_bias=True)`` clamps it.
     """
-    d = 0.25 * math.log(N / ((N - 2) * math.exp(-4.0 * rbar) + 2.0 * n2 / n1))
-    if constrain:
-        d = min(max(d, -rbar), rbar)
-    return d
+    return 0.25 * math.log(N / ((N - 2) * math.exp(-4.0 * rbar) + 2.0 * n2 / n1))
 
 
 def _phi_at(N: int, variances: tuple, g: float) -> float:
@@ -107,9 +95,10 @@ def optimal_fidelity(
 ) -> OptimizationResult:
     """Closed-form optimum: F = 1/(1 + eta_N) at (d_N_opt, g_N_opt).
 
-    With ``constrain_bias=True`` the bias is clamped to [-rbar, rbar]; when the
-    clamp bites, the fidelity is re-evaluated at the boundary bias (still with
-    optimal gain) and ``bias_clamped`` is set.
+    With ``constrain_bias=True`` the bias is clamped to [-rbar, rbar], which is
+    safe because phi is convex in d; when the clamp bites, the fidelity is
+    re-evaluated at the boundary bias (still with optimal gain) and
+    ``bias_clamped`` is set.
     """
     ResourceSpec(N, n1, n2, rbar)  # validates the inputs the kernels take raw
     g, fid, eta = _optimum(N, n1, n2, rbar)
@@ -156,23 +145,13 @@ def golden_section(
     return min(max(m, lo), hi)
 
 
-def numerical_optimum(
-    N: int,
-    n1: float,
-    n2: float,
-    rbar: float,
-    d_bounds: tuple[float, float] | None = None,
-    g_bounds: tuple[float, float] = (-5.0, 5.0),
-    tol: float = 1e-11,
-) -> OptimizationResult:
+def numerical_optimum(N: int, n1: float, n2: float, rbar: float) -> OptimizationResult:
     """Minimize phi over (d, g) by nested golden-section search.
 
-    Independent oracle for the closed forms; default d bounds are wide enough
-    to contain the unconstrained optimum for any grid in this package.
+    Independent oracle for the closed forms; the brackets |d| < rbar + 2 and
+    |g| < 5 contain the unconstrained optimum for any grid in this package.
     """
     spec = ResourceSpec(N, n1, n2, rbar)
-    if d_bounds is None:
-        d_bounds = (-rbar - 2.0, rbar + 2.0)
 
     def variances(d: float) -> tuple:
         return input_variances(n1, n2, rbar + d, rbar - d)
@@ -180,13 +159,13 @@ def numerical_optimum(
     def best_g(v: tuple) -> float:
         if N == 2:
             return 1.0  # gain term has coefficient N-2 = 0
-        return golden_section(lambda g: _phi_at(N, v, g), *g_bounds, tol=tol)
+        return golden_section(lambda g: _phi_at(N, v, g), -5.0, 5.0)
 
     def outer(d: float) -> float:
         v = variances(d)  # once per d: the inner search varies only g
         return _phi_at(N, v, best_g(v))
 
-    d_star = golden_section(outer, *d_bounds, tol=tol)
+    d_star = golden_section(outer, -rbar - 2.0, rbar + 2.0)
     v_star = variances(d_star)
     g_star = best_g(v_star)
     phi_star = _phi_at(N, v_star, g_star)
@@ -225,13 +204,13 @@ def _d_unbiased(N: int, n1: float, n2: float, rbar: float) -> float:
     return 0.25 * math.log1p((k - n1) * -math.expm1(-4.0 * rbar) / (n1 + k * q))
 
 
-def d_unbiased(N: int, n1: float, n2: float, rbar: float) -> UnbiasedBias:
+def d_unbiased(N: int, n1: float, n2: float, rbar: float) -> float:
     """Bias making the N-splitter output unbiased in x and p.
 
     The exact root of n1 sinh(2(rbar+d)) = (N-1) n2 sinh(2(rbar-d)):
     d = (1/4) ln[(k + n1 q)/(n1 + k q)] with k = (N-1) n2 and q = e^{-4 rbar}.
     The residual is increasing in d and changes sign on [-rbar, rbar] whenever
-    rbar > 0, so the root is interior and ``at_boundary`` is always False.
+    rbar > 0, so the root lies strictly inside (d = 0 at rbar = 0).
     """
     ResourceSpec(N, n1, n2, rbar)  # validates the inputs the kernel takes raw
-    return UnbiasedBias(_d_unbiased(N, n1, n2, rbar), False)
+    return _d_unbiased(N, n1, n2, rbar)

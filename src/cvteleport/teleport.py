@@ -101,6 +101,18 @@ def variances_closed_form_network(spec: ResourceSpec, g: float) -> tuple[float, 
     return network_variances(spec.N, spec.variances, g)
 
 
+def _checked_gain(spec: ResourceSpec, params: ProtocolParams) -> float:
+    """The gain of params, after checking its sender/receiver pair against the
+    resource's modes; "optimal" is g_N_opt (1 at N = 2, where it is inert)."""
+    from .optimize import g_N_opt  # deferred: optimize builds on this module
+
+    if not (0 <= params.sender < spec.N and 0 <= params.receiver < spec.N):
+        raise ValueError(f"invalid sender/receiver pair for {spec.N} modes: {params}")
+    if params.gain == OPTIMAL:
+        return 1.0 if spec.N == 2 else g_N_opt(spec.N, spec.n1, spec.n2, spec.rbar)
+    return float(params.gain)
+
+
 def fidelity_network(spec: ResourceSpec, params: ProtocolParams | None = None) -> TeleportOutcome:
     """Teleportation fidelity of the resource from its input variances; the
     dense equivalent is ``teleported_variances(build_resource(spec), ...)``.
@@ -108,15 +120,6 @@ def fidelity_network(spec: ResourceSpec, params: ProtocolParams | None = None) -
     With gain="optimal" the closed-form optimal gain is used; combined with
     d = d_N_opt this attains F = 1/(1 + eta_N).
     """
-    from .optimize import g_N_opt  # deferred: optimize builds on this module
-
-    if params is None:
-        params = ProtocolParams()
-    if not (0 <= params.sender < spec.N and 0 <= params.receiver < spec.N):
-        raise ValueError(f"invalid sender/receiver pair for {spec.N} modes: {params}")
-    if params.gain == OPTIMAL:
-        gain = 1.0 if spec.N == 2 else g_N_opt(spec.N, spec.n1, spec.n2, spec.rbar)
-    else:
-        gain = float(params.gain)
+    gain = _checked_gain(spec, params or ProtocolParams())
     var_x, var_p = variances_closed_form_network(spec, gain)
     return TeleportOutcome(var_x, var_p, gain, fidelity_from_variances(var_x, var_p))

@@ -7,6 +7,7 @@ import pytest
 
 import cvteleport as cv
 from cvteleport.cli import _fmt, main, sweep_rows
+from cvteleport.entanglement import _contangle
 from cvteleport.optimize import _phi
 
 
@@ -115,6 +116,22 @@ class TestLargeSqueezing:
         for r in rows:
             want = (1 - math.log(4 * float(r["eta_N"]))) / math.log(2)
             assert float(r["E_F_loc"]) == pytest.approx(want, rel=1e-11)
+
+    def test_pure_three_mode_contangle_where_E_T_rounds_to_1(self, capsys):
+        # E_tau -> [(ln eta_N + ln(sqrt(3)/2))^2 - ln^2(3)/2] / ln^2(2) bits as E_T -> 1
+        def want(eta):
+            return ((math.log(eta) + math.log(math.sqrt(3) / 2)) ** 2
+                    - 0.5 * math.log(3) ** 2) / math.log(2) ** 2
+
+        runs = [run(capsys, "entanglement", "--N", "3", "--rbar", r) for r in ("10", "20")]
+        runs.append(run(capsys, "sweep", "--rbar-min", "17", "--rbar-max", "19",
+                        "--steps", "3", "--N-list", "3"))
+        for code, out, _ in runs:
+            assert code == 0
+            header, *lines = out.strip().splitlines()
+            for line in lines:
+                row = dict(zip(header.split(","), line.split(",")))
+                assert float(row["E_tau"]) == pytest.approx(want(float(row["eta_N"])), rel=1e-9)
 
     @pytest.mark.parametrize("command", ["fidelity", "entanglement", "localize"])
     def test_ten_thousand_modes_under_50_ms(self, capsys, command):
@@ -305,12 +322,12 @@ class TestSweepRows:
                     "N": N, "rbar": rbar,
                     "F_opt": opt.fidelity_opt,
                     "F_equal": _phi(key, 0.0, opt.g_opt) ** -0.5,
-                    "F_unbiased": _phi(key, cv.d_unbiased(*key).d, opt.g_opt) ** -0.5,
+                    "F_unbiased": _phi(key, cv.d_unbiased(*key), opt.g_opt) ** -0.5,
                     "F_worst": cv.worst_case(*key).fidelity_worst,
                     "eta_N": cv.eta_generalized(cv.ResourceSpec(*key)),
                     "E_T": E_T,
                     "E_F_loc": cv.eof_symmetric(opt.eta_N),
-                    "E_tau": cv.contangle_from_ET(E_T) if pure else None,
+                    "E_tau": _contangle(opt.eta_N) if pure else None,
                 }
 
     @pytest.mark.parametrize("rbars,n1,message", [

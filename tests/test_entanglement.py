@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import cvteleport as cv
+from cvteleport.entanglement import _contangle
 
 E_INV = math.exp(-1)
 # frozen from term-by-term evaluation of f(e^{-1}) with base-2 logs
@@ -200,11 +201,32 @@ class TestContangle:
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
     def test_ghz_sentinel(self):
-        assert math.isinf(cv.contangle_from_ET(1 - 1e-13))
+        near_ghz = [cv.contangle_from_ET(1 - 10.0 ** -k) for k in (6, 9, 13, 15)]
+        assert all(math.isfinite(v) for v in near_ghz)
+        assert all(b > a for a, b in zip(near_ghz, near_ghz[1:]))
 
     def test_purity_flag(self):
         with pytest.raises(ValueError):
             cv.contangle_from_ET(0.3, pure_three_mode=False)
+
+    def test_against_700_digits(self):
+        """At the eta_N of the pure three-mode resource for rbar in [0.05, 300],
+        against the paper's formula at 700 digits.  Its numerator and
+        denominator both vanish as E_T -> 1, so in double precision it loses
+        every digit from rbar of about 9."""
+        mp = pytest.importorskip("mpmath").mp
+        mp.dps = 700
+        rbars = list(np.geomspace(0.05, 300, 80)) + list(np.linspace(0.05, 0.6, 40))
+        for rbar in rbars:
+            eta = cv.eta_generalized(cv.ResourceSpec(3, 1.0, 1.0, float(rbar)))
+            E = (1 - mp.mpf(eta)) / (1 + mp.mpf(eta))
+            num = 2 * mp.sqrt(2) * E - (E + 1) * mp.sqrt(E ** 2 + 1)
+            den = (E - 1) * mp.sqrt(E ** 2 + 4 * E + 1)
+            for base in (2.0, math.e):
+                first = mp.log(num / den) / mp.log(base)
+                second = mp.log((E ** 2 + 1) / (E ** 2 + 4 * E + 1)) / mp.log(base)
+                want = first ** 2 - second ** 2 / 2
+                assert abs(_contangle(eta, base) - want) <= 3e-14 * want, rbar
 
 
 class TestEprEtaSymmetric:

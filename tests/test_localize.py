@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -81,6 +82,57 @@ class TestLocalize:
             cv.localize(cv.vacuum_cm(2))
         with pytest.raises(ValueError):
             cv.localize(cv.vacuum_cm(3), keep=(1, 1))
+
+
+class TestLocalizeSchurComplement:
+    """localize measures all N - 2 momenta in one Schur complement; a chain of
+    rank-1 homodyne_condition calls is the reference."""
+
+    @staticmethod
+    def chain(sigma, keep):
+        state = sigma
+        for mode in sorted(set(range(sigma.n_modes)) - set(keep), reverse=True):
+            state = cv.homodyne_condition(state, mode, "p").cm
+        return state.entries
+
+    @pytest.mark.parametrize("N", [3, 4, 8, 20])
+    def test_matches_homodyne_chain_on_resources(self, N):
+        sigma = cv.build_resource(cv.ResourceSpec(N, 1.3, 1.1, 0.7, 0.2))
+        for keep in ((0, 1), (N - 1, 1)):
+            loc = cv.localize(sigma, keep)
+            measured = tuple(sorted(set(range(N)) - set(keep), reverse=True))
+            assert (loc.measured_modes, loc.quadratures) == (measured, ("p",) * (N - 2))
+            assert np.max(np.abs(loc.cm.entries - self.chain(sigma, keep))) < 1e-12
+
+    def test_matches_homodyne_chain_with_xp_correlations(self):
+        # A A^T + I >= I is physical, and its x-p blocks are dense
+        rng = np.random.default_rng(41)
+        for N in (3, 5, 9, 12):
+            a = rng.normal(size=(2 * N, 2 * N)) / math.sqrt(2 * N)
+            sigma = cv.CovarianceMatrix(a @ a.T + np.eye(2 * N))
+            assert np.min(np.abs(sigma.entries[0::2, 1::2])) > 0.0
+            keep = tuple(int(k) for k in rng.choice(N, 2, replace=False))
+            loc = cv.localize(sigma, keep).cm.entries
+            assert np.max(np.abs(loc - self.chain(sigma, keep))) < 1e-12
+
+    def test_validates_one_covariance_matrix(self, monkeypatch):
+        sigma = cv.build_resource(cv.ResourceSpec(8, 1.2, 1.0, 0.5))
+        validate, calls = cv.CovarianceMatrix.__post_init__, []
+        monkeypatch.setattr(cv.CovarianceMatrix, "__post_init__",
+                            lambda self: calls.append(self) or validate(self))
+        loc = cv.localize(sigma)
+        assert len(calls) == 1 and calls[0] is loc.cm
+
+    def test_two_hundred_modes_under_50_ms(self):
+        spec = cv.ResourceSpec(200, 1.0, 1.0, 0.5)
+        sigma = cv.build_resource(spec)
+        times = []
+        for _ in range(3):  # best of three: the least noisy estimate on a shared machine
+            t0 = time.perf_counter()
+            loc = cv.localize(sigma)
+            times.append(time.perf_counter() - t0)
+        assert cv.eta_two_mode(loc.cm) == pytest.approx(cv.eta_generalized(spec), abs=1e-9)
+        assert min(times) < 0.05, times
 
 
 class TestLocalizableEta:

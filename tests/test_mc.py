@@ -51,6 +51,68 @@ class TestSimulate:
         with pytest.raises(ValueError):
             cv.McConfig(samples=1, seed=0, spec=spec)
 
+    @pytest.mark.parametrize("samples,seed,field", [
+        (10.5, 1, "samples"), (1e6, 1, "samples"), (15, 1, "samples"),
+        (1000, 1.5, "seed"), (1000, -1, "seed"), (1000, "1", "seed"),
+    ])
+    def test_config_fields_checked(self, samples, seed, field):
+        # 15 samples leave a shard empty, which the jackknife cannot take
+        spec = optimal_spec(2, 1, 1, 0.5)
+        with pytest.raises(ValueError, match=field):
+            cv.McConfig(samples=samples, seed=seed, spec=spec)
+        with pytest.raises(ValueError, match=field):
+            cv.variance_of_form(np.zeros(4), spec, samples, seed)
+
+    @pytest.mark.parametrize("sender,receiver", [(-1, 0), (0, -2), (0, 5), (3, 1)])
+    def test_sender_receiver_checked(self, sender, receiver):
+        spec = optimal_spec(3, 1, 1, 0.5)
+        params = cv.ProtocolParams(sender=sender, receiver=receiver)
+        with pytest.raises(ValueError, match="sender/receiver"):
+            cv.simulate(cv.McConfig(samples=1000, seed=0, spec=spec, params=params))
+        with pytest.raises(ValueError, match="sender/receiver"):
+            cv.fidelity_network(spec, params)
+
+
+class TestPinnedDraws:
+    """float.hex of every estimate field: a change to the drawn normals, their
+    order, the chunking or the shard reductions shows up here bit for bit."""
+
+    @pytest.mark.parametrize("spec,params,samples,seed,want", [
+        (optimal_spec(2, 1, 1, 0.5), cv.ProtocolParams(), 50_000, 1,
+         ("0x1.763e3f3472e8fp-1", "0x1.fffb331e97d7fp-11",
+          "0x1.7a04feecdb158p-1", "0x1.77d6c0f2de59bp-1")),
+        (optimal_spec(4, 1.5, 1.1, 1.0), cv.ProtocolParams(gain=0.7), 123_457, 9,
+         ("0x1.83bcc0c8ce18fp-1", "0x1.d565fe3e42d9bp-12",
+          "0x1.f01dd7b345e11p-2", "0x1.9d5570915cefdp-1")),
+        (cv.ResourceSpec(5, 1, 1, 0.3, 0.1), cv.ProtocolParams(sender=3, receiver=1), 20_003, 0,
+         ("0x1.2911d77607d00p-1", "0x1.8819bd5d9ef1cp-10",
+          "0x1.56946b6c239d4p+0", "0x1.8f317f634a153p+0")),
+        # 65,537 samples per shard: two chunks each
+        (cv.ResourceSpec(2, 1, 1, 0.3), cv.ProtocolParams(), 1_048_593, 42,
+         ("0x1.4a769d8f20659p-1", "0x1.979d14b828a81p-13",
+          "0x1.196392da357b2p+0", "0x1.19228ed953682p+0")),
+    ])
+    def test_simulate(self, spec, params, samples, seed, want):
+        est = cv.simulate(cv.McConfig(samples=samples, seed=seed, spec=spec, params=params))
+        got = (est.fidelity_mean, est.std_error, est.var_x_rel_hat, est.var_p_tot_hat)
+        assert tuple(v.hex() for v in got) == want
+        assert est.samples == samples
+
+    @pytest.mark.parametrize("coefficients,spec,samples,seed,want", [
+        ([-0.8999060592918622, 0.012644597142898784, 0.03846805925942309,
+          -0.46959357212557795, -0.7415567102963319, -0.9585379348462681],
+         cv.ResourceSpec(3, 1.3, 1.1, 0.6, 0.1), 40_000, 0,
+         ("0x1.dfd6755420be2p-6", "0x1.94d8f5fdd0e9ep+2")),
+        ([1.0, 0.0, -1.0, 0.0], cv.ResourceSpec(2, 1, 1, 0.5, 0.0), 70_001, 5,
+         ("0x1.340f68f05a36cp-8", "0x1.7aca0123285f0p-1")),
+        ([0.3, -0.7, 1.1, 0.2], cv.ResourceSpec(2, 1.2, 1.0, 0.4, 0.1), 1_048_593, 8,
+         ("0x1.7afe7e9170c8fp-8", "0x1.0a56d4ab869cep+2")),
+    ])
+    def test_variance_of_form(self, coefficients, spec, samples, seed, want):
+        est = cv.variance_of_form(np.array(coefficients), spec, samples, seed)
+        assert (est.std_error.hex(), est.var_x_rel_hat.hex()) == want
+        assert math.isnan(est.fidelity_mean) and math.isnan(est.var_p_tot_hat)
+
 
 class TestVarianceOfForm:
     def test_zero_coefficients(self):

@@ -72,7 +72,7 @@ class TestDNOpt:
     def test_clamp(self):
         raw = cv.d_N_opt(50, 2, 1, 0.0)
         assert raw > 0.0
-        assert cv.d_N_opt(50, 2, 1, 0.0, constrain=True) == 0.0
+        assert cv.optimal_fidelity(50, 2, 1, 0.0, constrain_bias=True).d_opt == 0.0
 
 
 @settings(max_examples=300, deadline=None)
@@ -208,14 +208,12 @@ class TestWorstCase:
 
 class TestDUnbiased:
     def test_symmetric_two_mode(self):
-        res = cv.d_unbiased(2, 1, 1, 0.5)
-        assert res.d == pytest.approx(0.0, abs=1e-12)
-        assert not res.at_boundary
+        assert cv.d_unbiased(2, 1, 1, 0.5) == pytest.approx(0.0, abs=1e-12)
 
     def test_three_mode_root(self):
-        res = cv.d_unbiased(3, 1, 1, 0.5)
-        lhs = math.sinh(2 * (0.5 + res.d))
-        rhs = 2 * math.sinh(2 * (0.5 - res.d))
+        d = cv.d_unbiased(3, 1, 1, 0.5)
+        lhs = math.sinh(2 * (0.5 + d))
+        rhs = 2 * math.sinh(2 * (0.5 - d))
         assert lhs == pytest.approx(rhs, abs=1e-10)
 
     def test_inputs_validated(self):
@@ -229,8 +227,8 @@ class TestDUnbiased:
             cv.d_unbiased(1, 1, 1, 0.5)
 
     def test_resulting_cm_unbiased(self):
-        res = cv.d_unbiased(3, 1, 1, 0.5)
-        cm = cv.build_resource(cv.ResourceSpec(3, 1, 1, 0.5, res.d))
+        d = cv.d_unbiased(3, 1, 1, 0.5)
+        cm = cv.build_resource(cv.ResourceSpec(3, 1, 1, 0.5, d))
         block = cm.mode_block(0, 0)
         assert block[0, 0] == pytest.approx(block[1, 1], abs=1e-10)
 
@@ -243,7 +241,7 @@ class TestDUnbiased:
             fid = lambda d: _phi((N, n1, n2, rbar), d, g) ** -0.5
             f_worst = cv.worst_case(N, n1, n2, rbar).fidelity_worst
             f_equal = fid(0.0)
-            f_unbiased = fid(cv.d_unbiased(N, n1, n2, rbar).d)
+            f_unbiased = fid(cv.d_unbiased(N, n1, n2, rbar))
             f_opt = cv.optimal_fidelity(N, n1, n2, rbar).fidelity_opt
             assert f_worst <= f_equal + 1e-12
             assert f_equal <= f_opt + 1e-12
@@ -268,10 +266,9 @@ def test_d_unbiased_is_the_root(N, n1, n2, rbar):
     """
     mp = pytest.importorskip("mpmath").mp
     mp.dps = 50
-    res = cv.d_unbiased(N, n1, n2, rbar)
-    assert not res.at_boundary
-    assert abs(res.d) < rbar or res.d == rbar == 0.0
-    r, d, n1m, k = mp.mpf(rbar), mp.mpf(res.d), mp.mpf(n1), (N - 1) * mp.mpf(n2)
+    d_float = cv.d_unbiased(N, n1, n2, rbar)
+    assert abs(d_float) < rbar or d_float == rbar == 0.0
+    r, d, n1m, k = mp.mpf(rbar), mp.mpf(d_float), mp.mpf(n1), (N - 1) * mp.mpf(n2)
     residual = n1m * mp.sinh(2 * (r + d)) - k * mp.sinh(2 * (r - d))
     slope = 2 * n1m * mp.cosh(2 * (r + d)) + 2 * k * mp.cosh(2 * (r - d))
     assert abs(residual) <= 1e-12 * slope * r
