@@ -138,6 +138,16 @@ def eof_localizable(E_T: float, base: float = 2.0) -> float:
     return _f((1.0 - E_T) / (1.0 + E_T), base)
 
 
+def _log1p_minus_u(u: float) -> float:
+    """log1p(u) - u for u in [-1/2, 3], free of the cancellation at small u:
+    with s = u/(2 + u), log1p(u) = 2 (s + s^3/3 + s^5/5 + ...) and u - 2s = u s."""
+    s = u / (2.0 + u)
+    total, term, k = s ** 3 / 3.0, s ** 5, 5
+    while abs(term) > 1e-17 * k * abs(total):  # False for NaN too
+        total, term, k = total + term / k, term * s * s, k + 2
+    return 2.0 * total - u * s
+
+
 def _contangle(eta_N: float, base: float = 2.0) -> float:
     """Residual contangle of the pure symmetric three-mode resource from eta_N.
 
@@ -147,18 +157,25 @@ def _contangle(eta_N: float, base: float = 2.0) -> float:
     (E-1)^2 (E^2+4E+1), so l1 is taken as
     ln[(1 - E) sqrt(E^2+4E+1) / (2 sqrt2 E + (E+1) sqrt(E^2+1))], with
     ln(1 - E) = ln eta_N + ln(1 + E) from eta_N itself and log1p for the
-    small-E terms: it stays finite wherever eta_N > 0.
+    small-E terms: it stays finite wherever eta_N > 0.  It is evaluated as
+    (l1 - l2/sqrt2)(l1 + l2/sqrt2); for E < 1/2 the first factor, ~ -2 sqrt2 E^2,
+    is summed from the logs less their linear terms, which cancel.
     """
     if eta_N >= 1.0:
         return 0.0
     E = (1.0 - eta_N) / (1.0 + eta_N)
     r = math.sqrt(E * E + 1.0)
     # the last denominator is 1 + E (2 sqrt2 + r) + (r - 1), with r - 1 = E^2/(r + 1)
-    l1 = (math.log(eta_N) + math.log1p(E) + 0.5 * math.log1p(E * (E + 4.0))
-          - math.log1p(E * (2.0 * math.sqrt(2.0) + r + E / (r + 1.0))))
-    l2 = math.log1p(E * E) - math.log1p(E * (E + 4.0))
-    lb = math.log(base)
-    return (l1 / lb) ** 2 - 0.5 * (l2 / lb) ** 2
+    u2, u3 = E * (E + 4.0), E * (2.0 * math.sqrt(2.0) + r + E / (r + 1.0))
+    l1 = math.log(eta_N) + math.log1p(E) + 0.5 * math.log1p(u2) - math.log1p(u3)
+    l2 = (math.log1p(E * E) - math.log1p(u2)) / math.sqrt(2.0)
+    if E < 0.5:  # the linear terms -E + (1+sqrt2)/2 u2 - u3 - E^2/sqrt2 sum to the first term
+        diff = (E ** 3 * (E / (r + 1.0) - 2.0) / (2.0 * (r + 1.0)) + _log1p_minus_u(-E)
+                + 0.5 * (1.0 + math.sqrt(2.0)) * _log1p_minus_u(u2) - _log1p_minus_u(u3)
+                - (math.log1p(E * E) - E * E) / math.sqrt(2.0))
+    else:
+        diff = l1 - l2
+    return diff * (l1 + l2) / math.log(base) ** 2
 
 
 def contangle_from_ET(E_T: float, base: float = 2.0, pure_three_mode: bool = True) -> float:

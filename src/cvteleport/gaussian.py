@@ -58,10 +58,10 @@ class CovarianceMatrix:
         except np.linalg.LinAlgError:
             raise ValueError("covariance matrix is not positive definite") from None
         nu_min = np.min(symplectic_eigenvalues(self))
-        # norm-scaled slack only matters for extreme squeezing (entries >> 1e6),
-        # where the eigensolve cannot resolve nu to 1e-9 in double precision
-        tol = max(PHYSICALITY_TOL, 64 * np.finfo(float).eps * np.linalg.norm(m, 2))
-        if nu_min < 1.0 - tol:
+        # norm-scaled slack for entries >> 1e6, where the eigensolve cannot resolve nu
+        # to 1e-9; it only widens the bound, so its SVD runs only when 1e-9 rejects
+        if nu_min < 1.0 - PHYSICALITY_TOL and (
+                nu_min < 1.0 - 64 * np.finfo(float).eps * np.linalg.norm(m, 2)):
             raise ValueError(
                 f"unphysical covariance matrix: min symplectic eigenvalue {nu_min}"
             )

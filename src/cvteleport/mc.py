@@ -7,14 +7,15 @@ p_tot.  Nothing here touches the covariance-matrix code paths beyond reusing
 the N-splitter matrix, so agreement is a genuine cross-check.
 
 Reproducibility: a counter-based Philox generator keyed by (seed, shard)
-drives each shard independently; identical configs give identical bytes, and
-the shard merge is order independent by construction.
+drives each shard independently, and the shards are merged in shard order, so
+identical configs give identical bytes at any thread count.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import os
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -25,6 +26,8 @@ from .teleport import ProtocolParams, _checked_gain, fidelity_from_variances
 
 _CHUNK = 1 << 16
 _SHARDS = 16
+_WORKERS = min(_SHARDS, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1)
 
 
 def _check_draws(samples, seed) -> None:
@@ -70,26 +73,30 @@ def _shard_sums(spec: ResourceSpec, cx: np.ndarray, cp: np.ndarray, samples: int
     """Shard sizes and, per shard, the sum and the sum of squares of each
     sample of ``forms(x @ cx, p @ cp)`` on the output quadratures x, p.  Shard i
     draws from Philox keyed by (seed, i), the x and then the p input normals of
-    up to _CHUNK samples at a time.
+    up to _CHUNK samples at a time.  The shards run on _WORKERS threads, which
+    overlap because numpy releases the GIL while it draws and multiplies.
     """
+    from concurrent.futures import ThreadPoolExecutor
     O = n_splitter(spec.N).entries[0::2, 0::2]  # x-sector orthogonal matrix
     wx, wp = O.T @ cx, O.T @ cp  # the forms pulled back onto the input modes
     sx, sp = _input_scales(spec)
     counts = [samples // _SHARDS] * _SHARDS
     counts[-1] += samples - sum(counts)
-    sums = []
-    for shard, count in enumerate(counts):
+
+    def one_shard(shard: int, count: int) -> list:
         rng = np.random.Generator(np.random.Philox(key=[seed, shard]))
+        z = np.empty((min(_CHUNK, count), spec.N))  # takes every m x N draw, x before p
         total = 0.0
         for done in range(0, count, _CHUNK):
-            m = min(_CHUNK, count - done)
-            # the m x N input draws live one at a time, x before p
-            xr = (rng.standard_normal((m, spec.N)) * sx) @ wx
-            pt = (rng.standard_normal((m, spec.N)) * sp) @ wp
+            zm = z[:count - done]
+            xr = np.multiply(rng.standard_normal(out=zm), sx, out=zm) @ wx
+            pt = np.multiply(rng.standard_normal(out=zm), sp, out=zm) @ wp
             chunk = [t for v in forms(xr, pt) for t in (v.sum(), (v * v).sum())]
             total = total + np.array(chunk)
-        sums.append(total.tolist())
-    return counts, sums
+        return total.tolist()
+
+    with ThreadPoolExecutor(_WORKERS) as pool:
+        return counts, list(pool.map(one_shard, range(_SHARDS), counts))
 
 
 def _variance(n: int, s1: float, s2: float) -> float:

@@ -228,6 +228,22 @@ class TestContangle:
                 want = first ** 2 - second ** 2 / 2
                 assert abs(_contangle(eta, base) - want) <= 3e-14 * want, rbar
 
+    def test_small_E_T_against_mpmath(self):
+        """rbar in [1e-4, 300], down to E_T ~ 7e-5 where E_tau ~ 16 E_T^3: the
+        paper's formula at 700 digits at the same double eta_N, to 1e-14."""
+        mp = pytest.importorskip("mpmath").mp
+        mp.dps = 700
+        rbars = list(np.geomspace(1e-4, 300, 100)) + list(np.geomspace(1e-4, 0.05, 60))
+        for rbar in rbars:
+            eta = cv.eta_generalized(cv.ResourceSpec(3, 1.0, 1.0, float(rbar)))
+            E = (1 - mp.mpf(eta)) / (1 + mp.mpf(eta))
+            ratio = ((2 * mp.sqrt(2) * E - (E + 1) * mp.sqrt(E ** 2 + 1))
+                     / ((E - 1) * mp.sqrt(E ** 2 + 4 * E + 1)))
+            for base in (2.0, math.e):
+                want = (mp.log(ratio) ** 2
+                        - mp.log((E ** 2 + 1) / (E ** 2 + 4 * E + 1)) ** 2 / 2) / mp.log(base) ** 2
+                assert abs(_contangle(eta, base) - want) <= 1e-14 * want, (rbar, base)
+
 
 class TestEprEtaSymmetric:
     def test_vacuum(self):

@@ -309,3 +309,35 @@ class TestResourceSpec:
         m[0, 1] = 1e-6
         with pytest.raises(ValueError):
             cv.CovarianceMatrix(m)
+
+
+class TestPhysicalityTolerance:
+    """nu_min >= 1 - max(1e-9, 64 eps ||sigma||_2): the norm-scaled slack only
+    widens the bound, so it is computed only when 1e-9 alone would reject."""
+
+    SLACK_1E7 = 64 * np.finfo(float).eps * 1e7  # 1.4e-7 for a norm of 1e7
+
+    def test_unphysical_message(self):
+        with pytest.raises(ValueError, match=r"^unphysical covariance matrix: "
+                                             r"min symplectic eigenvalue 0\.5$"):
+            cv.CovarianceMatrix(0.5 * np.eye(2))
+
+    def test_slack_accepts_at_large_norm(self):
+        # nu = sqrt(1 - 3e-8): below 1 - 1e-9, within the slack of ||sigma|| = 1e7
+        m = np.diag([1e7, (1 - 3e-8) / 1e7])
+        nu = cv.symplectic_eigenvalues(m)[0]
+        assert 1.0 - self.SLACK_1E7 < nu < 1.0 - cv.gaussian.PHYSICALITY_TOL
+        assert cv.CovarianceMatrix(m).entries[0, 0] == 1e7
+
+    def test_slack_rejects_beyond_it(self):
+        m = np.diag([1e7, (1 - 1e-6) / 1e7])
+        assert cv.symplectic_eigenvalues(m)[0] < 1.0 - self.SLACK_1E7
+        with pytest.raises(ValueError, match="^unphysical covariance matrix"):
+            cv.CovarianceMatrix(m)
+
+    def test_no_norm_when_physical(self, monkeypatch):
+        def no_norm(*args, **kwargs):
+            raise AssertionError("the slack's SVD ran on a physical matrix")
+
+        monkeypatch.setattr(np.linalg, "norm", no_norm)
+        cv.build_resource(cv.ResourceSpec(4, 1.3, 1.1, 0.6, 0.1))

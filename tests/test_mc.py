@@ -1,9 +1,11 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
 import cvteleport as cv
+from cvteleport import mc
 
 
 def optimal_spec(N, n1, n2, rbar):
@@ -145,3 +147,65 @@ class TestVarianceOfForm:
     def test_bad_shape(self):
         with pytest.raises(ValueError):
             cv.variance_of_form(np.zeros(3), cv.ResourceSpec(2, 1, 1, 0.1), 100, 0)
+
+
+def serial_shard_sums(spec, cx, cp, samples, seed, forms):
+    """Reference: the shards one after another, each chunk drawn into fresh
+    arrays, as _shard_sums did before its shards ran on threads."""
+    O = cv.n_splitter(spec.N).entries[0::2, 0::2]
+    wx, wp = O.T @ cx, O.T @ cp
+    sx, sp = mc._input_scales(spec)
+    counts = [samples // mc._SHARDS] * mc._SHARDS
+    counts[-1] += samples - sum(counts)
+    sums = []
+    for shard, count in enumerate(counts):
+        rng = np.random.Generator(np.random.Philox(key=[seed, shard]))
+        total = 0.0
+        for done in range(0, count, mc._CHUNK):
+            m = min(mc._CHUNK, count - done)
+            xr = (rng.standard_normal((m, spec.N)) * sx) @ wx
+            pt = (rng.standard_normal((m, spec.N)) * sp) @ wp
+            total = total + np.array([t for v in forms(xr, pt) for t in (v.sum(), (v * v).sum())])
+        sums.append(total.tolist())
+    return counts, sums
+
+
+class TestConcurrentShards:
+    """The shards run on mc._WORKERS threads; the sums must not depend on it."""
+
+    SPEC = cv.ResourceSpec(4, 1.5, 1.1, 0.7, 0.1)
+    CX, CP = np.array([1.0, -1.0, 0.0, 0.0]), np.array([1.0, 1.0, 0.8, 0.8])
+    FORMS = {
+        "simulate": lambda xr, pt: (xr, pt),
+        "variance_of_form": lambda xr, pt: (xr + pt,),
+    }
+
+    @pytest.mark.parametrize("form", sorted(FORMS))
+    @pytest.mark.parametrize("chunk", [mc._CHUNK, 1000], ids=["one_chunk", "two_chunks"])
+    def test_sums_independent_of_worker_count(self, monkeypatch, form, chunk):
+        monkeypatch.setattr(mc, "_CHUNK", chunk)
+        samples, seed = 16 * 1500 + 7, 11  # shards of 1,500 and 1,507 samples
+        args = (self.SPEC, self.CX, self.CP, samples, seed, self.FORMS[form])
+        want = serial_shard_sums(*args)
+        switch = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-6)  # interleave the worker threads finely
+            for workers in (1, 2, 16):
+                monkeypatch.setattr(mc, "_WORKERS", workers)
+                assert mc._shard_sums(*args) == want, workers
+        finally:
+            sys.setswitchinterval(switch)
+
+    @pytest.mark.parametrize("workers", [1, 2, 16])
+    def test_shard_exception_reaches_caller(self, monkeypatch, workers):
+        monkeypatch.setattr(mc, "_WORKERS", workers)
+        error = ArithmeticError("shard 15 failed")
+
+        def forms(xr, pt):
+            if len(xr) == 105:  # only the last shard holds 16 * 100 + 5 - 15 * 100 samples
+                raise error
+            return (xr,)
+
+        with pytest.raises(ArithmeticError) as raised:
+            mc._shard_sums(self.SPEC, self.CX, self.CP, 16 * 100 + 5, 0, forms)
+        assert raised.value is error
