@@ -19,7 +19,8 @@ import numpy as np
 from . import __version__
 from .gaussian import ResourceSpec, build_resource
 from .entanglement import (
-    _contangle, entanglement_of_teleportation, entanglement_report, eof_symmetric)
+    _contangle, _is_pure_three_mode, entanglement_of_teleportation, entanglement_report,
+    eof_symmetric)
 from .localize import localizable_report
 from .mc import McConfig, simulate
 from .optimize import (
@@ -158,7 +159,7 @@ def sweep_rows(N_list, rbars, n1: float, n2: float, base: float = 2.0) -> list[d
     for N in N_list:
         for rbar in checked:
             ResourceSpec(N, n1, n2, rbar)
-        pure_three_mode = N == 3 and n1 == 1.0 and n2 == 1.0
+        pure_three_mode = _is_pure_three_mode(N, n1, n2)
         for rbar in rbars:
             key = (N, n1, n2, rbar)
             g, F_opt, eta_N = _optimum(*key)

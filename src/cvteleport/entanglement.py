@@ -66,14 +66,14 @@ def eta_two_mode(sigma: CovarianceMatrix) -> float:
 
 def eta_closed_form(n1: float, n2: float, r1: float, r2: float) -> float:
     """PPT symplectic eigenvalue of the two-mode resource: sqrt(n1 n2) e^{-(r1+r2)}."""
-    if n1 < 1.0 or n2 < 1.0:
+    if not (n1 >= 1.0 and n2 >= 1.0):
         raise ValueError("thermal noise factors must be >= 1")
     return math.sqrt(n1 * n2) * math.exp(-(r1 + r2))
 
 
 def is_entangled(eta: float) -> bool:
     """PPT criterion: a two-mode Gaussian state is entangled iff eta < 1."""
-    if eta <= 0.0:
+    if not eta > 0.0:
         raise ValueError(f"eta must be positive, got {eta}")
     return eta < 1.0
 
@@ -97,7 +97,7 @@ def eof_symmetric(eta: float, base: float = 2.0) -> float:
     E_F = max{0, f(eta)}; zero at and above the separability threshold eta = 1,
     divergent as eta -> 0.
     """
-    if eta <= 0.0:
+    if not eta > 0.0:
         raise ValueError(f"eta must be positive, got {eta}")
     if eta >= 1.0:
         return 0.0
@@ -124,7 +124,7 @@ def eta_generalized(spec: ResourceSpec) -> float:
 
 def entanglement_of_teleportation(eta_N: float) -> float:
     """E_T = max{0, (1 - eta_N)/(1 + eta_N)}, in [0, 1)."""
-    if eta_N <= 0.0:
+    if not eta_N > 0.0:
         raise ValueError(f"eta_N must be positive, got {eta_N}")
     return max(0.0, (1.0 - eta_N) / (1.0 + eta_N))
 
@@ -178,20 +178,23 @@ def _contangle(eta_N: float, base: float = 2.0) -> float:
     return diff * (l1 + l2) / math.log(base) ** 2
 
 
-def contangle_from_ET(E_T: float, base: float = 2.0, pure_three_mode: bool = True) -> float:
+def _is_pure_three_mode(N: int, n1: float, n2: float) -> bool:
+    """Pure three-mode resource (purity 1/(n1 n2^2) = 1), where the contangle holds."""
+    return N == 3 and n1 == 1.0 and n2 == 1.0
+
+
+def contangle_from_ET(E_T: float, base: float = 2.0) -> float:
     """Residual contangle of a pure symmetric three-mode resource from E_T.
 
-    Valid only for pure three-mode symmetric states; the caller asserts this
-    via ``pure_three_mode``.  It diverges as E_T -> 1, the GHZ limit.
+    Valid only for pure three-mode symmetric states (see ``_is_pure_three_mode``).
+    It diverges as E_T -> 1, the GHZ limit.
     """
-    if not pure_three_mode:
-        raise ValueError("contangle formula is valid only for pure symmetric three-mode states")
     if not 0.0 <= E_T < 1.0:
         raise ValueError(f"E_T must lie in [0, 1), got {E_T}")
     return _contangle((1.0 - E_T) / (1.0 + E_T), base)
 
 
-def epr_eta_symmetric(sigma: CovarianceMatrix, tol: float = 1e-8) -> float:
+def epr_eta_symmetric(sigma: CovarianceMatrix) -> float:
     """eta of a symmetric two-mode state from its EPR correlations.
 
     4 eta = <(x1 - x2)^2> + <(p1 + p2)^2>; holds only when det alpha equals
@@ -199,7 +202,7 @@ def epr_eta_symmetric(sigma: CovarianceMatrix, tol: float = 1e-8) -> float:
     """
     alpha, beta, _ = _blocks(sigma)
     da, db = np.linalg.det(alpha), np.linalg.det(beta)
-    if abs(da - db) > tol * max(1.0, abs(da), abs(db)):
+    if abs(da - db) > 1e-8 * max(1.0, abs(da), abs(db)):
         raise ValueError("EPR identity requires a symmetric state (det alpha = det beta)")
     m = sigma.entries
     var_x_rel = m[0, 0] - 2.0 * m[0, 2] + m[2, 2]
@@ -240,17 +243,16 @@ def entanglement_report(spec: ResourceSpec, base: float = 2.0) -> EntanglementRe
     E_T and E_F_loc come from the closed forms.  E_F_loc is f(eta_N), taken
     from eta_N itself rather than from E_T, which rounds to 1 from rbar of
     about 18.  E_tau is evaluated only for pure three-mode resources
-    (purity 1/(n1 n2^2) = 1), where the contangle formula applies.
+    (``_is_pure_three_mode``), where the contangle formula applies.
     """
     eta = eta_one_vs_rest(spec)
     eta_n = eta_generalized(spec)
     E_T = entanglement_of_teleportation(eta_n)
-    is_pure_three = spec.N == 3 and abs(1.0 / (spec.n1 * spec.n2 ** 2) - 1.0) <= 1e-9
     return EntanglementReport(
         eta=eta,
         eta_N=eta_n,
         E_F=eof_symmetric(eta, base) if spec.N == 2 else None,
         E_T=E_T,
         E_F_loc=eof_symmetric(eta_n, base),
-        E_tau=_contangle(eta_n, base) if is_pure_three else None,
+        E_tau=_contangle(eta_n, base) if _is_pure_three_mode(spec.N, spec.n1, spec.n2) else None,
     )

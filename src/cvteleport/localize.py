@@ -76,8 +76,8 @@ def localize(sigma: CovarianceMatrix, keep: tuple[int, int] = (0, 1)) -> Conditi
     return _condition(sigma, tuple(measured), "p")
 
 
-def localizable_eta(spec: ResourceSpec, keep: tuple[int, int] = (0, 1)) -> float:
-    """Closed form of ``eta_two_mode(localize(build_resource(spec), keep).cm)``.
+def localizable_eta(spec: ResourceSpec) -> float:
+    """Closed form of ``eta_two_mode(localize(build_resource(spec), keep).cm)`` at any keep.
 
     Detecting p on the other N - 2 modes takes the Schur complement of the
     b I + c J p block.  For (q_k -+ q_l)/sqrt(2) the kept pair has x variances
@@ -86,9 +86,6 @@ def localizable_eta(spec: ResourceSpec, keep: tuple[int, int] = (0, 1)) -> float
     eta^2 is the smaller cross product: eta_N^2 at every d (N = 2: no detection).
     """
     N = spec.N
-    k, l = keep
-    if k == l or not (0 <= k < N and 0 <= l < N):
-        raise ValueError(f"invalid kept pair {keep} for {N} modes")
     v1x, v2x, v1p, v2p = spec.variances
     x_sum_p_diff = (2.0 * v1x + (N - 2) * v2x) / N * v2p
     if math.isinf(x_sum_p_diff):  # ~ e^{4 rbar}; the other product has underflowed

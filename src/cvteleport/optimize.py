@@ -10,8 +10,8 @@ large squeezing:
 * optimal fidelity         F = 1 / (1 + eta_N)
 * unbiased bias            d = (1/4) ln[(k + n1 q) / (n1 + k q)], k = (N-1) n2
 
-The numerical oracle minimizes the fidelity kernel phi by nested bracketing
-scalar searches (both axes are convex) and never consults the closed forms.
+The numerical oracle minimizes phi by golden section in d, takes g from phi's
+exact parabola in g, and never consults the closed forms.
 The public functions validate their inputs through ``ResourceSpec``; the
 underscored kernels they delegate to take raw, already validated floats.
 """
@@ -110,9 +110,7 @@ def optimal_fidelity(
     return OptimizationResult(d_raw, g, fid, eta, "closed-form")
 
 
-def golden_section(
-    fn: Callable[[float], float], lo: float, hi: float, tol: float = 1e-11
-) -> float:
+def golden_section(fn: Callable[[float], float], lo: float, hi: float) -> float:
     """Minimize a unimodal scalar function by golden-section search.
 
     Finishes with one parabolic refinement step so analytic minima are located
@@ -124,7 +122,7 @@ def golden_section(
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = fn(c), fn(d)
-    while b - a > max(tol, 1e-10 * (abs(a) + abs(b))):
+    while b - a > max(1e-11, 1e-10 * (abs(a) + abs(b))):
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - _GOLDEN * (b - a)
@@ -146,29 +144,23 @@ def golden_section(
 
 
 def numerical_optimum(N: int, n1: float, n2: float, rbar: float) -> OptimizationResult:
-    """Minimize phi over (d, g) by nested golden-section search.
+    """Minimize phi over (d, g) by one golden-section search over |d| < rbar + 2.
 
-    Independent oracle for the closed forms; the brackets |d| < rbar + 2 and
-    |g| < 5 contain the unconstrained optimum for any grid in this package.
+    Independent oracle for the closed forms.  p_tot is linear in the gain, so at
+    each d phi is an exact parabola in g; its vertex follows from g = -1, 0, 1.
     """
     spec = ResourceSpec(N, n1, n2, rbar)
 
-    def variances(d: float) -> tuple:
-        return input_variances(n1, n2, rbar + d, rbar - d)
-
-    def best_g(v: tuple) -> float:
+    def best(d: float) -> tuple[float, float]:
+        v = input_variances(n1, n2, rbar + d, rbar - d)
         if N == 2:
-            return 1.0  # gain term has coefficient N-2 = 0
-        return golden_section(lambda g: _phi_at(N, v, g), -5.0, 5.0)
+            return 1.0, _phi_at(N, v, 1.0)  # gain term has coefficient N-2 = 0
+        lo, mid, hi = (_phi_at(N, v, g) for g in (-1.0, 0.0, 1.0))
+        g = (lo - hi) / (2.0 * (lo - 2.0 * mid + hi))
+        return g, _phi_at(N, v, g)
 
-    def outer(d: float) -> float:
-        v = variances(d)  # once per d: the inner search varies only g
-        return _phi_at(N, v, best_g(v))
-
-    d_star = golden_section(outer, -rbar - 2.0, rbar + 2.0)
-    v_star = variances(d_star)
-    g_star = best_g(v_star)
-    phi_star = _phi_at(N, v_star, g_star)
+    d_star = golden_section(lambda d: best(d)[1], -rbar - 2.0, rbar + 2.0)
+    g_star, phi_star = best(d_star)
     if not math.isfinite(phi_star):
         raise ArithmeticError("non-finite objective at the numerical optimum")
     return OptimizationResult(d_star, g_star, phi_star ** -0.5, eta_generalized(spec), "numerical")

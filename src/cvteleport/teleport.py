@@ -56,7 +56,7 @@ class TeleportOutcome:
 
 def fidelity_from_variances(var_x_rel: float, var_p_tot: float) -> float:
     """Average fidelity from the teleported-mode excess variances."""
-    if var_x_rel < 0.0 or var_p_tot < 0.0:
+    if not (var_x_rel >= 0.0 and var_p_tot >= 0.0):
         raise ValueError(f"variances must be nonnegative, got ({var_x_rel}, {var_p_tot})")
     return ((var_x_rel + 2.0) * (var_p_tot + 2.0) / 4.0) ** -0.5
 

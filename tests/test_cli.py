@@ -209,6 +209,17 @@ class TestEntanglementCommand:
         vals = dict(zip(header.split(","), row.split(",")))
         assert vals["E_tau"] == ""
 
+    @pytest.mark.parametrize("n1", ["1", "1.0000000001"])
+    def test_contangle_agrees_with_sweep(self, capsys, n1):
+        _, out, _ = run(capsys, "entanglement", "--N", "3", "--n1", n1, "--rbar", "0.5")
+        header, row = out.strip().splitlines()
+        entanglement = dict(zip(header.split(","), row.split(",")))["E_tau"]
+        _, out, _ = run(capsys, "sweep", "--N-list", "3", "--n1", n1,
+                        "--rbar-min", "0.5", "--rbar-max", "0.5", "--steps", "2")
+        header, row = out.strip().splitlines()[:2]
+        assert dict(zip(header.split(","), row.split(",")))["E_tau"] == entanglement
+        assert (entanglement != "") == (n1 == "1")
+
 
 class TestLocalizeCommand:
     def test_theorem_deviation_small(self, capsys):

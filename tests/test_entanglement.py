@@ -12,6 +12,15 @@ F_AT_E_INV = 0.9513895138912786
 ETA_3 = math.sqrt(3 / (2 * math.e ** 2 + 1))  # 0.43604680...
 
 
+def test_nan_rejected_by_public_guards():
+    nan = math.nan
+    for call in (lambda: cv.entanglement_of_teleportation(nan), lambda: cv.is_entangled(nan),
+                 lambda: cv.eof_symmetric(nan), lambda: cv.fidelity_from_variances(nan, 1.0),
+                 lambda: cv.eta_closed_form(nan, 1.0, 0.1, 0.1)):
+        with pytest.raises(ValueError):
+            call()
+
+
 class TestEtaTwoMode:
     def test_vacuum(self):
         assert cv.eta_two_mode(cv.vacuum_cm(2)) == pytest.approx(1.0, abs=1e-12)
@@ -204,10 +213,6 @@ class TestContangle:
         near_ghz = [cv.contangle_from_ET(1 - 10.0 ** -k) for k in (6, 9, 13, 15)]
         assert all(math.isfinite(v) for v in near_ghz)
         assert all(b > a for a, b in zip(near_ghz, near_ghz[1:]))
-
-    def test_purity_flag(self):
-        with pytest.raises(ValueError):
-            cv.contangle_from_ET(0.3, pure_three_mode=False)
 
     def test_against_700_digits(self):
         """At the eta_N of the pure three-mode resource for rbar in [0.05, 300],

@@ -167,6 +167,24 @@ class TestNumericalOptimum:
                 cv.optimal_fidelity(N, n1, n2, rbar).fidelity_opt, abs=1e-10
             )
 
+    def test_gain_from_the_parabola_vertex(self):
+        for N, rbar, (n1, n2) in itertools.product(
+            (3, 8, 50), (0.0, 0.5, 1.5), ((1.0, 1.0), (2.0, 1.5))
+        ):
+            g = cv.g_N_opt(N, n1, n2, rbar)
+            assert abs(cv.numerical_optimum(N, n1, n2, rbar).g_opt - g) <= 1e-14 * max(1.0, abs(g))
+
+    def test_at_most_100_objective_calls(self, monkeypatch):
+        import cvteleport.optimize as opt
+        calls, search = [], opt.golden_section
+
+        def counting(fn, lo, hi):
+            return search(lambda x: calls.append(x) or fn(x), lo, hi)
+
+        monkeypatch.setattr(opt, "golden_section", counting)
+        cv.numerical_optimum(8, 1.5, 1.0, 1.0)
+        assert 0 < len(calls) <= 100
+
 
 class TestWorstCase:
     def test_two_mode_symmetric_tie(self):

@@ -76,12 +76,6 @@ class TestAgainstDense:
         with pytest.raises(ValueError, match="gain"):
             cv.ProtocolParams(gain=math.nan)
 
-    def test_kept_pair_checked(self):
-        spec = cv.ResourceSpec(4, 1.0, 1.0, 0.5)
-        for keep in ((1, 1), (0, 4)):
-            with pytest.raises(ValueError):
-                cv.localizable_eta(spec, keep)
-
 
 class TestAgainstHighPrecisionOracle:
     """The dense algebra carried out in 60-digit arithmetic, N <= 6, rbar <= 8."""
