@@ -12,6 +12,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -27,18 +28,24 @@ def omega(n_modes: int) -> np.ndarray:
     return D - D.T
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float)
+def _freeze(a: np.ndarray, dtype=float) -> np.ndarray:
+    a = np.array(a, dtype=dtype)
     a.setflags(write=False)
     return a
+
+
+@lru_cache(maxsize=None)
+def _shifted_omega(dim: int) -> np.ndarray:
+    return _freeze(1j * (1.0 - PHYSICALITY_TOL) * omega(dim // 2), complex)
 
 
 @dataclass(frozen=True)
 class CovarianceMatrix:
     """Real symmetric 2N x 2N matrix of quadrature second moments.
 
-    Validated on construction: symmetry to 1e-12, positive definiteness, and
-    physicality (all symplectic eigenvalues >= 1 - 1e-9).
+    Validated on construction: finite entries, symmetry to 1e-12, physicality.
+    One complex Cholesky of sigma + i(1 - 1e-9) Omega accepts it: that holds exactly
+    when every symplectic eigenvalue exceeds 1 - 1e-9.  The spectrum runs only if not.
     """
 
     entries: np.ndarray
@@ -48,11 +55,16 @@ class CovarianceMatrix:
         m = np.asarray(self.entries, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2 != 0:
             raise ValueError(f"covariance matrix must be 2N x 2N, got shape {m.shape}")
+        if not np.isfinite(m).all():
+            raise ValueError("covariance matrix has non-finite entries")
         if np.max(np.abs(m - m.T)) > SYMMETRY_TOL:
             raise ValueError("covariance matrix is not symmetric to 1e-12")
         m = 0.5 * (m + m.T)
         object.__setattr__(self, "entries", _freeze(m))
         object.__setattr__(self, "n_modes", m.shape[0] // 2)
+        with suppress(np.linalg.LinAlgError):  # if it fails, the spectrum decides and words it
+            np.linalg.cholesky(m + _shifted_omega(m.shape[0]))
+            return  # sigma + i(1 - tol) Omega > 0: every nu > 1 - tol, so sigma > 0 too
         try:
             np.linalg.cholesky(m)
         except np.linalg.LinAlgError:

@@ -10,8 +10,8 @@ large squeezing:
 * optimal fidelity         F = 1 / (1 + eta_N)
 * unbiased bias            d = (1/4) ln[(k + n1 q) / (n1 + k q)], k = (N-1) n2
 
-The numerical oracle minimizes phi by golden section in d, takes g from phi's
-exact parabola in g, and never consults the closed forms.
+The numerical oracle minimizes phi - 1 by golden section in d, takes g from
+phi's exact parabola in g, and never consults the closed forms.
 The public functions validate their inputs through ``ResourceSpec``; the
 underscored kernels they delegate to take raw, already validated floats.
 """
@@ -153,17 +153,21 @@ def numerical_optimum(N: int, n1: float, n2: float, rbar: float) -> Optimization
 
     def best(d: float) -> tuple[float, float]:
         v = input_variances(n1, n2, rbar + d, rbar - d)
+        def phi_m1(g: float) -> float:  # phi - 1 without the 1: precise where phi ~ 1
+            vx, vp = network_variances(N, v, g)
+            return (vx + vp) / 2.0 + vx * vp / 4.0
         if N == 2:
-            return 1.0, _phi_at(N, v, 1.0)  # gain term has coefficient N-2 = 0
-        lo, mid, hi = (_phi_at(N, v, g) for g in (-1.0, 0.0, 1.0))
+            return 1.0, phi_m1(1.0)  # gain term has coefficient N-2 = 0
+        lo, mid, hi = (phi_m1(g) for g in (-1.0, 0.0, 1.0))
         g = (lo - hi) / (2.0 * (lo - 2.0 * mid + hi))
-        return g, _phi_at(N, v, g)
+        return g, phi_m1(g)
 
     d_star = golden_section(lambda d: best(d)[1], -rbar - 2.0, rbar + 2.0)
-    g_star, phi_star = best(d_star)
-    if not math.isfinite(phi_star):
+    g_star, phi_star_m1 = best(d_star)
+    if not math.isfinite(phi_star_m1):
         raise ArithmeticError("non-finite objective at the numerical optimum")
-    return OptimizationResult(d_star, g_star, phi_star ** -0.5, eta_generalized(spec), "numerical")
+    return OptimizationResult(d_star, g_star, (1.0 + phi_star_m1) ** -0.5,
+                              eta_generalized(spec), "numerical")
 
 
 def _worst_case(spec_nd: tuple[int, float, float, float], g: float) -> WorstCase:

@@ -1,5 +1,6 @@
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -341,3 +342,56 @@ class TestPhysicalityTolerance:
 
         monkeypatch.setattr(np.linalg, "norm", no_norm)
         cv.build_resource(cv.ResourceSpec(4, 1.3, 1.1, 0.6, 0.1))
+
+
+class TestCholeskyValidation:
+    """sigma + i(1 - 1e-9) Omega > 0 exactly when nu_min > 1 - 1e-9, so one complex
+    Cholesky accepts a physical matrix and the spectrum runs only on rejection."""
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("at", [(0, 0), (0, 1)])
+    def test_non_finite_entries(self, value, at):
+        m = np.eye(4)
+        m[at] = m[at[::-1]] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^covariance matrix has non-finite entries$"):
+                cv.CovarianceMatrix(m)
+
+    @pytest.mark.parametrize("N", [2, 8, 20])
+    def test_no_spectrum_when_physical(self, monkeypatch, N):
+        def no_spectrum(*args, **kwargs):
+            raise AssertionError("the symplectic spectrum ran on a physical matrix")
+
+        monkeypatch.setattr(cv.gaussian, "symplectic_eigenvalues", no_spectrum)
+        sigma = cv.build_resource(cv.ResourceSpec(N, 1.3, 1.1, 0.6, 0.1))
+        if N > 2:
+            assert cv.localize(sigma).cm.n_modes == 2
+
+    @pytest.mark.parametrize("nu_min", [2.0, 1 + 1e-7, 1 - 5e-10, 1 - 2e-9, 1 - 1e-6, 0.5])
+    @pytest.mark.parametrize("N", [2, 5, 12])
+    def test_decision_matches_the_spectrum_rule(self, N, nu_min):
+        # sigma = S (+)_k nu_k I_2 S^T has the symplectic spectrum nu by construction
+        rng = np.random.default_rng(100 + N)
+        nu = np.r_[nu_min, rng.uniform(1.0, 3.0, N - 1)]
+        S = random_symplectic(N, rng).entries  # squeezings |r| <= 0.8
+        sigma = S @ np.diag(np.repeat(nu, 2)) @ S.T
+        sigma = 0.5 * (sigma + sigma.T)
+        if nu_min >= 1.0 - cv.gaussian.PHYSICALITY_TOL:
+            assert np.array_equal(cv.CovarianceMatrix(sigma).entries, sigma)
+        else:
+            message = f"min symplectic eigenvalue {np.min(cv.symplectic_eigenvalues(sigma))}"
+            with pytest.raises(ValueError) as info:
+                cv.CovarianceMatrix(sigma)
+            assert str(info.value) == f"unphysical covariance matrix: {message}"
+
+    def test_budget_at_20_modes(self):
+        m = cv.build_resource(cv.ResourceSpec(20, 1.3, 1.1, 0.6, 0.1)).entries
+
+        def per_validation():
+            t0 = time.perf_counter()
+            for _ in range(200):
+                cv.CovarianceMatrix(m)
+            return (time.perf_counter() - t0) / 200
+
+        assert min(per_validation() for _ in range(5)) < 80e-6

@@ -174,6 +174,16 @@ class TestNumericalOptimum:
             g = cv.g_N_opt(N, n1, n2, rbar)
             assert abs(cv.numerical_optimum(N, n1, n2, rbar).g_opt - g) <= 1e-14 * max(1.0, abs(g))
 
+    def test_bias_to_1e_8_up_to_rbar_6(self):
+        # phi_min = (1 + eta_N)^2 nears 1 at large rbar; phi - 1 keeps the minimum sharp
+        for N, rbar, (n1, n2) in itertools.product(
+            (2, 3, 5, 8, 20, 100, 1000, 10**4),
+            (0.0, 0.5, 1.0, 2.0, 3.0, 4.0, 4.5, 5.0, 5.5, 6.0),
+            ((1.0, 1.0), (1.5, 1.2), (2.0, 1.0), (1.0, 2.0)),
+        ):
+            d = cv.numerical_optimum(N, n1, n2, rbar).d_opt
+            assert abs(d - cv.d_N_opt(N, n1, n2, rbar)) <= 1e-8, (N, n1, n2, rbar)
+
     def test_at_most_100_objective_calls(self, monkeypatch):
         import cvteleport.optimize as opt
         calls, search = [], opt.golden_section
