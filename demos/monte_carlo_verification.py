@@ -20,7 +20,10 @@ print("monte carlo:      ", est.fidelity_mean, "+/-", est.std_error)
 print("pull (sigmas):    ", abs(est.fidelity_mean - analytic) / est.std_error)
 
 # Same seed, same answer, down to the last bit: the samples are split over
-# 16 shards, each drawing from its own Philox stream keyed by (seed, shard).
+# 16 shards, each drawing from its own SFC64 generator seeded with
+# (seed, shard), and only the input modes that x_rel and p_tot weight are
+# drawn.  The standard error is the exact Gaussian one, 2 v^2 / (n - 1) per
+# variance carried through F, so a 3-sigma check fails 0.27% of correct runs.
 again = cv.simulate(cv.McConfig(samples=1_000_000, seed=42, spec=spec))
 print("reproducible:", est == again)
 
