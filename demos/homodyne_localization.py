@@ -43,4 +43,4 @@ for pair in [(0, 1), (0, 3), (2, 3)]:
     print(f"keep {pair}: eta = {e:.15f}")
 
 # Localizable entanglement of formation, straight from the resource numbers.
-print("\nE_F_loc:", cv.localizable_entanglement(spec))
+print("\nE_F_loc:", cv.eof_symmetric(cv.localizable_eta(spec)))

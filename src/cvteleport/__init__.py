@@ -16,7 +16,6 @@ from .gaussian import (
     beam_splitter,
     block_diag_cm,
     build_resource,
-    input_variances,
     n_splitter,
     omega,
     partial_transpose,
@@ -25,6 +24,14 @@ from .gaussian import (
     squeezer,
     symplectic_eigenvalues,
     vacuum_cm,
+)
+from .structured import (
+    IsoEntangledClass,
+    OptimizationResult,
+    WorstCase,
+    fidelity_from_variances,
+    input_variances,
+    network_variances,
 )
 from .entanglement import (
     EntanglementReport,
@@ -43,18 +50,12 @@ from .entanglement import (
 from .teleport import (
     ProtocolParams,
     TeleportOutcome,
-    fidelity_from_variances,
     fidelity_network,
-    network_variances,
     phi_two_mode,
     teleported_variances,
-    variances_closed_form_network,
 )
 from .optimize import (
-    OptimizationResult,
-    WorstCase,
     d_N_opt,
-    d_opt_two_mode,
     d_unbiased,
     g_N_opt,
     golden_section,
@@ -65,7 +66,6 @@ from .optimize import (
 from .localize import (
     ConditionalState,
     homodyne_condition,
-    localizable_entanglement,
     localizable_eta,
     localizable_report,
     localize,

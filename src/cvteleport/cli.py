@@ -18,22 +18,12 @@ import numpy as np
 
 from . import __version__
 from .gaussian import ResourceSpec, build_resource
-from .entanglement import (
-    _contangle, _is_pure_three_mode, entanglement_of_teleportation, entanglement_report,
-    eof_symmetric)
+from .entanglement import entanglement_of_teleportation, entanglement_report, eof_symmetric
 from .localize import localizable_report
 from .mc import McConfig, simulate
-from .optimize import (
-    _d_unbiased,
-    _fidelity,
-    _optimum,
-    _worst_case,
-    d_N_opt,
-    g_N_opt,
-    numerical_optimum,
-    optimal_fidelity,
-)
-from .teleport import ProtocolParams, fidelity_network, variances_closed_form_network
+from .optimize import d_N_opt, g_N_opt, numerical_optimum, optimal_fidelity
+from .structured import IsoEntangledClass, network_variances
+from .teleport import ProtocolParams, fidelity_network
 
 SWEEP_COLUMNS = [
     "N", "rbar", "F_opt", "F_equal", "F_unbiased", "F_worst",
@@ -78,10 +68,10 @@ def _emit(record: dict, output: str, stream) -> None:
 
 
 def _spec_from_args(args) -> ResourceSpec:
-    """The resource at --d, by default at d_N_opt; validated before d_N_opt runs."""
+    """The resource at --d, by default at its class's optimal bias d_N_opt."""
     spec = ResourceSpec(args.N, args.n1, args.n2, args.rbar, constrain_bias=False)
     d = getattr(args, "d", None)
-    return replace(spec, d=d_N_opt(spec.N, spec.n1, spec.n2, spec.rbar) if d is None else d)
+    return replace(spec, d=spec.iso.d_opt if d is None else d)
 
 
 def _add_spec_args(p: argparse.ArgumentParser, with_d: bool = True) -> None:
@@ -148,31 +138,25 @@ def cmd_localize(args) -> int:
 def sweep_rows(N_list, rbars, n1: float, n2: float, base: float = 2.0) -> list[dict]:
     """One row per (N, rbar), N-major order, with every Fig.-1-style curve.
 
-    The inputs are validated once per N, by a ResourceSpec at the smallest and
-    at the largest rbar; every row lies between the two.  The rows then come
-    from the kernels that optimal_fidelity, worst_case, d_unbiased and
-    eta_generalized run after validating, with g_N_opt computed once per row.
+    Each row validates its (N, n1, n2, rbar) by building its iso-entangled
+    class, and every curve is one of the class's closed forms, at its optimal
+    gain.
     """
-    # min and max skip a NaN that is not first, so NaNs are checked on their own
-    checked = {min(rbars), max(rbars), *filter(math.isnan, rbars)} if rbars else ()
     rows = []
     for N in N_list:
-        for rbar in checked:
-            ResourceSpec(N, n1, n2, rbar)
-        pure_three_mode = _is_pure_three_mode(N, n1, n2)
         for rbar in rbars:
-            key = (N, n1, n2, rbar)
-            g, F_opt, eta_N = _optimum(*key)
+            iso = IsoEntangledClass(N, n1, n2, rbar)
+            eta_N, g = iso.eta_N, iso.gain
             rows.append({
                 "N": N, "rbar": rbar,
-                "F_opt": F_opt,
-                "F_equal": _fidelity(key, 0.0, g),
-                "F_unbiased": _fidelity(key, _d_unbiased(*key), g),
-                "F_worst": _worst_case(key, g).fidelity_worst,
+                "F_opt": iso.fidelity_opt,
+                "F_equal": iso.fidelity(0.0, g),
+                "F_unbiased": iso.fidelity(iso.d_unbiased, g),
+                "F_worst": iso.worst_case(g).fidelity_worst,
                 "eta_N": eta_N,
                 "E_T": entanglement_of_teleportation(eta_N),
                 "E_F_loc": eof_symmetric(eta_N, base),
-                "E_tau": _contangle(eta_N, base) if pure_three_mode else None,
+                "E_tau": iso.contangle(base),
             })
     return rows
 
@@ -224,7 +208,7 @@ def _verify_suites(seed: int, samples: int, inject_fault: bool) -> list[tuple[st
                         sigma = build_resource(spec)
                         for g in (0.0, 1.0):
                             vx, vp = teleported_variances(sigma, 0, 1, g)
-                            cx, cp = variances_closed_form_network(spec, g)
+                            cx, cp = network_variances(spec.N, spec.variances, g)
                             dev = max(dev, abs(vx - cx), abs(vp - cp))
     if inject_fault:
         dev += 1.0

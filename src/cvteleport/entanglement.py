@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussian import CovarianceMatrix, ResourceSpec
+from .structured import _contangle
 
 DISCRIMINANT_TOL = 1e-9
 
@@ -104,22 +105,11 @@ def eof_symmetric(eta: float, base: float = 2.0) -> float:
     return _f(eta, base)
 
 
-def _eta_N(N: int, n1: float, n2: float, rbar: float) -> float:
-    """eta_generalized on raw, already validated inputs."""
-    return math.exp(-2.0 * rbar) * math.sqrt(
-        N * n1 * n2 / (2.0 + (N - 2) * n1 / n2 * math.exp(-4.0 * rbar)))
-
-
 def eta_generalized(spec: ResourceSpec) -> float:
-    """Generalized PPT eigenvalue eta_N of the optimized N-mode resource.
-
-    eta_N = sqrt(N n1 n2 / (2 e^{4 rbar} + (N-2) n1/n2)), evaluated as
-    e^{-2 rbar} sqrt(N n1 n2 / (2 + (N-2) (n1/n2) e^{-4 rbar})) so that it
-    neither overflows nor underflows for rbar below about 354; depends on the
-    iso-entangled class (N, n1, n2, rbar) only -- the bias d is ignored.
-    Reduces to eta_closed_form(n1, n2, rbar, rbar) at N = 2.
-    """
-    return _eta_N(spec.N, spec.n1, spec.n2, spec.rbar)
+    """Generalized PPT eigenvalue eta_N of the optimized N-mode resource, from
+    its iso-entangled class (N, n1, n2, rbar) only -- the bias d is ignored.
+    Reduces to eta_closed_form(n1, n2, rbar, rbar) at N = 2."""
+    return spec.iso.eta_N
 
 
 def entanglement_of_teleportation(eta_N: float) -> float:
@@ -138,56 +128,11 @@ def eof_localizable(E_T: float, base: float = 2.0) -> float:
     return _f((1.0 - E_T) / (1.0 + E_T), base)
 
 
-def _log1p_minus_u(u: float) -> float:
-    """log1p(u) - u for u in [-1/2, 3], free of the cancellation at small u:
-    with s = u/(2 + u), log1p(u) = 2 (s + s^3/3 + s^5/5 + ...) and u - 2s = u s."""
-    s = u / (2.0 + u)
-    total, term, k = s ** 3 / 3.0, s ** 5, 5
-    while abs(term) > 1e-17 * k * abs(total):  # False for NaN too
-        total, term, k = total + term / k, term * s * s, k + 2
-    return 2.0 * total - u * s
-
-
-def _contangle(eta_N: float, base: float = 2.0) -> float:
-    """Residual contangle of the pure symmetric three-mode resource from eta_N.
-
-    With E = E_T, it is l1^2 - l2^2 / 2 for l2 = ln[(E^2 + 1)/(E^2 + 4E + 1)]
-    and l1 = ln[(2 sqrt2 E - (E+1) sqrt(E^2+1)) / ((E-1) sqrt(E^2+4E+1))].
-    Both terms of that ratio vanish as E -> 1 with the common factor
-    (E-1)^2 (E^2+4E+1), so l1 is taken as
-    ln[(1 - E) sqrt(E^2+4E+1) / (2 sqrt2 E + (E+1) sqrt(E^2+1))], with
-    ln(1 - E) = ln eta_N + ln(1 + E) from eta_N itself and log1p for the
-    small-E terms: it stays finite wherever eta_N > 0.  It is evaluated as
-    (l1 - l2/sqrt2)(l1 + l2/sqrt2); for E < 1/2 the first factor, ~ -2 sqrt2 E^2,
-    is summed from the logs less their linear terms, which cancel.
-    """
-    if eta_N >= 1.0:
-        return 0.0
-    E = (1.0 - eta_N) / (1.0 + eta_N)
-    r = math.sqrt(E * E + 1.0)
-    # the last denominator is 1 + E (2 sqrt2 + r) + (r - 1), with r - 1 = E^2/(r + 1)
-    u2, u3 = E * (E + 4.0), E * (2.0 * math.sqrt(2.0) + r + E / (r + 1.0))
-    l1 = math.log(eta_N) + math.log1p(E) + 0.5 * math.log1p(u2) - math.log1p(u3)
-    l2 = (math.log1p(E * E) - math.log1p(u2)) / math.sqrt(2.0)
-    if E < 0.5:  # the linear terms -E + (1+sqrt2)/2 u2 - u3 - E^2/sqrt2 sum to the first term
-        diff = (E ** 3 * (E / (r + 1.0) - 2.0) / (2.0 * (r + 1.0)) + _log1p_minus_u(-E)
-                + 0.5 * (1.0 + math.sqrt(2.0)) * _log1p_minus_u(u2) - _log1p_minus_u(u3)
-                - (math.log1p(E * E) - E * E) / math.sqrt(2.0))
-    else:
-        diff = l1 - l2
-    return diff * (l1 + l2) / math.log(base) ** 2
-
-
-def _is_pure_three_mode(N: int, n1: float, n2: float) -> bool:
-    """Pure three-mode resource (purity 1/(n1 n2^2) = 1), where the contangle holds."""
-    return N == 3 and n1 == 1.0 and n2 == 1.0
-
-
 def contangle_from_ET(E_T: float, base: float = 2.0) -> float:
     """Residual contangle of a pure symmetric three-mode resource from E_T.
 
-    Valid only for pure three-mode symmetric states (see ``_is_pure_three_mode``).
-    It diverges as E_T -> 1, the GHZ limit.
+    Valid only for pure three-mode symmetric states (N = 3, n1 = n2 = 1; see
+    ``IsoEntangledClass.contangle``).  It diverges as E_T -> 1, the GHZ limit.
     """
     if not 0.0 <= E_T < 1.0:
         raise ValueError(f"E_T must lie in [0, 1), got {E_T}")
@@ -243,7 +188,7 @@ def entanglement_report(spec: ResourceSpec, base: float = 2.0) -> EntanglementRe
     E_T and E_F_loc come from the closed forms.  E_F_loc is f(eta_N), taken
     from eta_N itself rather than from E_T, which rounds to 1 from rbar of
     about 18.  E_tau is evaluated only for pure three-mode resources
-    (``_is_pure_three_mode``), where the contangle formula applies.
+    (``IsoEntangledClass.contangle``), where the contangle formula applies.
     """
     eta = eta_one_vs_rest(spec)
     eta_n = eta_generalized(spec)
@@ -254,5 +199,5 @@ def entanglement_report(spec: ResourceSpec, base: float = 2.0) -> EntanglementRe
         E_F=eof_symmetric(eta, base) if spec.N == 2 else None,
         E_T=E_T,
         E_F_loc=eof_symmetric(eta_n, base),
-        E_tau=_contangle(eta_n, base) if _is_pure_three_mode(spec.N, spec.n1, spec.n2) else None,
+        E_tau=spec.iso.contangle(base),
     )

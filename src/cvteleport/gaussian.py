@@ -18,6 +18,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .structured import IsoEntangledClass, input_variances
+
 SYMMETRY_TOL = 1e-12
 PHYSICALITY_TOL = 1e-9
 
@@ -113,7 +115,8 @@ class ResourceSpec:
     By default the bias is constrained to |d| <= rbar so both squeezings stay
     nonnegative.  Pass ``constrain_bias=False`` to allow the unconstrained
     optimal bias, which may drive r2 slightly negative (an anti-squeezed but
-    still physical input).
+    still physical input).  ``iso`` is the resource's validated iso-entangled
+    class (N, n1, n2, rbar).
     """
 
     N: int
@@ -122,18 +125,14 @@ class ResourceSpec:
     rbar: float
     d: float = 0.0
     constrain_bias: bool = True
+    iso: IsoEntangledClass = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if int(self.N) != self.N or self.N < 2:
-            raise ValueError(f"N must be an integer >= 2, got {self.N}")
-        object.__setattr__(self, "N", int(self.N))
-        for name in ("n1", "n2", "rbar", "d"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.n1 < 1.0 or self.n2 < 1.0:
-            raise ValueError("thermal noise factors must be >= 1")
-        if self.rbar < 0.0:
-            raise ValueError("average squeezing rbar must be >= 0")
+        iso = IsoEntangledClass(self.N, self.n1, self.n2, self.rbar)
+        object.__setattr__(self, "N", iso.N)
+        object.__setattr__(self, "iso", iso)
+        if not math.isfinite(self.d):
+            raise ValueError(f"d must be finite, got {self.d}")
         if self.constrain_bias and abs(self.d) > self.rbar + 1e-12:
             raise ValueError(f"bias d={self.d} outside [-rbar, rbar] with rbar={self.rbar}")
 
@@ -148,15 +147,6 @@ class ResourceSpec:
     @property
     def variances(self) -> tuple[float, float, float, float]:
         return input_variances(self.n1, self.n2, self.r1, self.r2)
-
-
-def input_variances(n1: float, n2: float, r1: float, r2: float) -> tuple[float, ...]:
-    """(v1x, v2x, v1p, v2p): variances of the mode squeezed in p (v1) and of the
-    N - 1 modes squeezed in x (v2).  They are the whole resource: in each
-    quadrature its CM is v2 I + (v1 - v2)/N J (J all ones), with no x-p terms.
-    """
-    s1, s2 = math.exp(2.0 * r1), math.exp(2.0 * r2)
-    return n1 * s1, n2 / s2, n1 / s1, n2 * s2
 
 
 def vacuum_cm(n_modes: int) -> CovarianceMatrix:

@@ -18,7 +18,6 @@ import numpy as np
 
 from .gaussian import CovarianceMatrix, ResourceSpec
 from .entanglement import entanglement_of_teleportation, eof_symmetric, eta_generalized
-from .optimize import d_N_opt
 
 
 @dataclass(frozen=True)
@@ -94,16 +93,6 @@ def localizable_eta(spec: ResourceSpec) -> float:
     return math.sqrt(min(x_sum_p_diff, x_diff_p_sum))
 
 
-def localizable_entanglement(spec: ResourceSpec, base: float = 2.0) -> float:
-    """Maximal formation entanglement concentrable onto two modes.
-
-    The localized eta is the same for the whole iso-entangled class
-    (N, n1, n2, rbar); the d carried by the given ResourceSpec only labels a
-    member of the class and does not change the answer.
-    """
-    return eof_symmetric(localizable_eta(spec), base)
-
-
 def localizable_report(spec: ResourceSpec, base: float = 2.0) -> dict:
     """Localized vs closed-form summary for one resource class."""
     eta_n = eta_generalized(spec)
@@ -111,7 +100,7 @@ def localizable_report(spec: ResourceSpec, base: float = 2.0) -> dict:
     return {
         "eta_N": eta_n,
         "eta_localized": eta_loc,
-        "d_opt": d_N_opt(spec.N, spec.n1, spec.n2, spec.rbar),
+        "d_opt": spec.iso.d_opt,
         "E_T": entanglement_of_teleportation(eta_n),
         "E_F_loc": eof_symmetric(eta_loc, base),
         "deviation": abs(eta_loc - eta_n),

@@ -4,9 +4,9 @@ Two independent routes to the same numbers:
 
 * the general path -- quadratic forms of x_rel = x_k - x_l and
   p_tot = p_k + p_l + g * sum_{j != k,l} p_j on any covariance matrix
-* closed forms on the structured symmetric resource (four input variances),
-  used by ``fidelity_network`` and cross-checked against the general path
-  in the test suite
+* closed forms on the structured symmetric resource (four input variances,
+  ``structured.network_variances``), used by ``fidelity_network`` and
+  cross-checked against the general path in the test suite
 
 The coherent-alphabet-averaged fidelity is
 F = [((var_x_rel + 2)(var_p_tot + 2)) / 4]^{-1/2}; the +2 combines the unit
@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussian import CovarianceMatrix, ResourceSpec
+from .structured import fidelity_from_variances, network_variances
 
 OPTIMAL = "optimal"
 
@@ -54,13 +55,6 @@ class TeleportOutcome:
     fidelity: float
 
 
-def fidelity_from_variances(var_x_rel: float, var_p_tot: float) -> float:
-    """Average fidelity from the teleported-mode excess variances."""
-    if not (var_x_rel >= 0.0 and var_p_tot >= 0.0):
-        raise ValueError(f"variances must be nonnegative, got ({var_x_rel}, {var_p_tot})")
-    return ((var_x_rel + 2.0) * (var_p_tot + 2.0) / 4.0) ** -0.5
-
-
 def teleported_variances(
     sigma: CovarianceMatrix, sender: int, receiver: int, gain: float
 ) -> tuple[float, float]:
@@ -86,30 +80,13 @@ def phi_two_mode(rbar: float, d: float, n1: float, n2: float) -> float:
     )
 
 
-def network_variances(N: int, variances: tuple, g: float) -> tuple[float, float]:
-    """x_rel/p_tot variances, for any sender/receiver pair, of the symmetric
-    resource with input variances (v1x, v2x, v1p, v2p): var_x_rel = 2 v2x and
-    var_p_tot = {[2 + (N-2) g]^2 v1p + 2 (g-1)^2 (N-2) v2p} / N.
-    """
-    _, v2x, v1p, v2p = variances
-    return 2.0 * v2x, ((2.0 + (N - 2) * g) ** 2 * v1p + 2.0 * (g - 1.0) ** 2 * (N - 2) * v2p) / N
-
-
-def variances_closed_form_network(spec: ResourceSpec, g: float) -> tuple[float, float]:
-    """``network_variances`` of the resource: var_x_rel = 2 n2 e^{-2 r2} and
-    var_p_tot = {[2 + (N-2) g]^2 n1 e^{-2 r1} + 2 (g-1)^2 (N-2) n2 e^{2 r2}} / N."""
-    return network_variances(spec.N, spec.variances, g)
-
-
 def _checked_gain(spec: ResourceSpec, params: ProtocolParams) -> float:
     """The gain of params, after checking its sender/receiver pair against the
     resource's modes; "optimal" is g_N_opt (1 at N = 2, where it is inert)."""
-    from .optimize import g_N_opt  # deferred: optimize builds on this module
-
     if not (0 <= params.sender < spec.N and 0 <= params.receiver < spec.N):
         raise ValueError(f"invalid sender/receiver pair for {spec.N} modes: {params}")
     if params.gain == OPTIMAL:
-        return 1.0 if spec.N == 2 else g_N_opt(spec.N, spec.n1, spec.n2, spec.rbar)
+        return spec.iso.gain
     return float(params.gain)
 
 
@@ -121,5 +98,5 @@ def fidelity_network(spec: ResourceSpec, params: ProtocolParams | None = None) -
     d = d_N_opt this attains F = 1/(1 + eta_N).
     """
     gain = _checked_gain(spec, params or ProtocolParams())
-    var_x, var_p = variances_closed_form_network(spec, gain)
+    var_x, var_p = network_variances(spec.N, spec.variances, gain)
     return TeleportOutcome(var_x, var_p, gain, fidelity_from_variances(var_x, var_p))

@@ -30,7 +30,7 @@ def test_criterion_01_classical_bound():
         spec = cv.ResourceSpec(N, 1.0, 1.0, 0.0, cv.d_N_opt(N, 1, 1, 0.0))
         g = 1.0 if N == 2 else cv.g_N_opt(N, 1, 1, 0.0)
         g_eff = 0.0 if N == 2 else g
-        vx, vp = cv.variances_closed_form_network(spec, g_eff)
+        vx, vp = cv.network_variances(spec.N, spec.variances, g_eff)
         fid = cv.fidelity_from_variances(vx, vp)
         assert abs(fid - 0.5) < 1e-12, (N, fid)
     report(1, "classical bound F=1/2 at zero squeezing", time.perf_counter() - t0, 1)
@@ -40,7 +40,7 @@ def test_criterion_02_two_mode_closed_form():
     t0 = time.perf_counter()
     worst = 0.0
     for n1, n2, rbar in itertools.product(NOISE_GRID, NOISE_GRID, RBAR_GRID):
-        d = cv.d_opt_two_mode(n1, n2)
+        d = cv.d_N_opt(2, n1, n2, rbar)
         spec = cv.ResourceSpec(2, n1, n2, rbar, d, constrain_bias=False)
         out = cv.fidelity_network(spec)
         expected = 1.0 / (1.0 + math.sqrt(n1 * n2) * math.exp(-2 * rbar))
@@ -75,7 +75,7 @@ def test_criterion_04_optimizer_oracle():
         for dfrac in (-0.5, 0.0, 0.5):
             spec = cv.ResourceSpec(N, 1.5, 1.0, rbar, dfrac * rbar)
             g_num = cv.golden_section(
-                lambda g: cv.variances_closed_form_network(spec, g)[1], -3, 3
+                lambda g: cv.network_variances(spec.N, spec.variances, g)[1], -3, 3
             )
             if g_ref is None:
                 g_ref = g_num
@@ -122,7 +122,7 @@ def test_criterion_07_equal_squeezer_subclassical_window():
             rbar = 5.0 * k / 1000
             spec = cv.ResourceSpec(N, 1.0, 1.0, rbar, 0.0)
             g = cv.g_N_opt(N, 1, 1, rbar)
-            vx, vp = cv.variances_closed_form_network(spec, g)
+            vx, vp = cv.network_variances(spec.N, spec.variances, g)
             best = min(best, cv.fidelity_from_variances(vx, vp))
         return best
 

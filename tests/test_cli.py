@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import time
@@ -6,9 +7,8 @@ from pathlib import Path
 import pytest
 
 import cvteleport as cv
+from cvteleport import cli
 from cvteleport.cli import _fmt, main, sweep_rows
-from cvteleport.entanglement import _contangle
-from cvteleport.optimize import _phi
 
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -319,26 +319,34 @@ class TestSweepRows:
 
     @pytest.mark.parametrize("n1,n2", [(1.0, 1.0), (1.5, 1.2), (1.1, 2.0)])
     def test_rows_equal_the_validated_functions(self, n1, n2):
-        """Bit for bit: the rows skip the per-row validation, nothing else."""
+        """Bit for bit, from public functions only: F_equal and F_unbiased are
+        the network fidelity of the member at d = 0 and d = d_unbiased, at the
+        optimum's gain, and E_tau is the report's, present only for the pure
+        three-mode resource."""
         Ns, rbars = [2, 3, 4, 8, 50, 10_000], [0.0, 0.05, 0.65, 1.7, 6.0, 12.0]
         rows = iter(sweep_rows(Ns, rbars, n1, n2))
         for N in Ns:
             for rbar in rbars:
-                row = next(rows)
-                opt = cv.optimal_fidelity(N, n1, n2, rbar)
-                E_T = cv.entanglement_of_teleportation(opt.eta_N)
                 key = (N, n1, n2, rbar)
-                pure = N == 3 and n1 == n2 == 1.0
-                assert row == {
+                opt = cv.optimal_fidelity(*key)
+                gain = cv.ProtocolParams(gain=opt.g_opt)
+
+                def fidelity(d):
+                    spec = cv.ResourceSpec(*key, d, constrain_bias=False)
+                    return cv.fidelity_network(spec, gain).fidelity
+
+                rep = cv.entanglement_report(cv.ResourceSpec(*key))
+                assert (rep.E_tau is not None) == (N == 3 and n1 == n2 == 1.0)
+                assert next(rows) == {
                     "N": N, "rbar": rbar,
                     "F_opt": opt.fidelity_opt,
-                    "F_equal": _phi(key, 0.0, opt.g_opt) ** -0.5,
-                    "F_unbiased": _phi(key, cv.d_unbiased(*key), opt.g_opt) ** -0.5,
+                    "F_equal": fidelity(0.0),
+                    "F_unbiased": fidelity(cv.d_unbiased(*key)),
                     "F_worst": cv.worst_case(*key).fidelity_worst,
-                    "eta_N": cv.eta_generalized(cv.ResourceSpec(*key)),
-                    "E_T": E_T,
+                    "eta_N": rep.eta_N,
+                    "E_T": cv.entanglement_of_teleportation(opt.eta_N),
                     "E_F_loc": cv.eof_symmetric(opt.eta_N),
-                    "E_tau": _contangle(opt.eta_N) if pure else None,
+                    "E_tau": rep.E_tau,
                 }
 
     @pytest.mark.parametrize("rbars,n1,message", [
@@ -366,3 +374,15 @@ class TestSweepRows:
         got = sweep_rows([4], [0.65], 1.0, 1.0)[0]["F_unbiased"]
         assert abs(got - want) <= 1e-15 * want
         assert _fmt(got) == "0.72731717643"
+
+
+def test_cli_imports_no_underscored_name():
+    """The CLI reaches the package through its public names only."""
+    tree = ast.parse(Path(cli.__file__).read_text())
+    imported = [alias.name for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names]
+    attributes = [node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
+    assert "IsoEntangledClass" in imported
+    private = [name for name in imported + attributes for part in name.split(".")
+               if part.startswith("_") and not part.endswith("__")]
+    assert private == []

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import cvteleport as cv
-from cvteleport.entanglement import _contangle
 
 E_INV = math.exp(-1)
 # frozen from term-by-term evaluation of f(e^{-1}) with base-2 logs
@@ -111,6 +110,22 @@ class TestEofSymmetric:
         with pytest.raises(ValueError):
             cv.eof_symmetric(-0.1)
 
+    @pytest.mark.parametrize("rbar", [0.1, 0.5, 1.0, 1.5])
+    def test_claim_4_from_the_state(self, rbar):
+        """The paper's claim 4 on the dense pure three-mode state: the residual
+        contangle ln^2 eta~(1|23) - 2 ln^2 eta~(1|2), from the smallest symplectic
+        eigenvalue of the partial transpose of the state and of its modes-(0, 1)
+        reduction, is the class's contangle in nats^2 at d = 0 and at d_N_opt
+        (Adesso & Illuminati, New J. Phys. 8, 15 (2006))."""
+        iso = cv.IsoEntangledClass(3, 1.0, 1.0, rbar)
+        for d in (0.0, iso.d_opt):
+            sigma = cv.build_resource(cv.ResourceSpec(3, 1.0, 1.0, rbar, d, constrain_bias=False))
+            pair = cv.CovarianceMatrix(sigma.entries[:4, :4])
+            eta_1_23 = cv.symplectic_eigenvalues(cv.partial_transpose(sigma, [0]))[0]
+            eta_1_2 = cv.symplectic_eigenvalues(cv.partial_transpose(pair, [0]))[0]
+            tau = math.log(eta_1_23) ** 2 - 2 * math.log(eta_1_2) ** 2
+            assert tau == pytest.approx(iso.contangle(math.e), rel=1e-10), d
+
     def test_against_700_digits(self):
         """a ln a - b ln b cancels as eta -> 0 (0.21 relative error at the
         eta_N of rbar = 18); ln(1 + b) + 4b atanh(eta) keeps every digit."""
@@ -214,6 +229,22 @@ class TestContangle:
         assert all(math.isfinite(v) for v in near_ghz)
         assert all(b > a for a, b in zip(near_ghz, near_ghz[1:]))
 
+    @pytest.mark.parametrize("rbar", [0.1, 0.5, 1.0, 1.5])
+    def test_claim_4_from_the_state(self, rbar):
+        """The paper's claim 4 on the dense pure three-mode state: the residual
+        contangle ln^2 eta~(1|23) - 2 ln^2 eta~(1|2), from the smallest symplectic
+        eigenvalue of the partial transpose of the state and of its modes-(0, 1)
+        reduction, is the class's contangle in nats^2 at d = 0 and at d_N_opt
+        (Adesso & Illuminati, New J. Phys. 8, 15 (2006))."""
+        iso = cv.IsoEntangledClass(3, 1.0, 1.0, rbar)
+        for d in (0.0, iso.d_opt):
+            sigma = cv.build_resource(cv.ResourceSpec(3, 1.0, 1.0, rbar, d, constrain_bias=False))
+            pair = cv.CovarianceMatrix(sigma.entries[:4, :4])
+            eta_1_23 = cv.symplectic_eigenvalues(cv.partial_transpose(sigma, [0]))[0]
+            eta_1_2 = cv.symplectic_eigenvalues(cv.partial_transpose(pair, [0]))[0]
+            tau = math.log(eta_1_23) ** 2 - 2 * math.log(eta_1_2) ** 2
+            assert tau == pytest.approx(iso.contangle(math.e), rel=1e-10), d
+
     def test_against_700_digits(self):
         """At the eta_N of the pure three-mode resource for rbar in [0.05, 300],
         against the paper's formula at 700 digits.  Its numerator and
@@ -223,15 +254,15 @@ class TestContangle:
         mp.dps = 700
         rbars = list(np.geomspace(0.05, 300, 80)) + list(np.linspace(0.05, 0.6, 40))
         for rbar in rbars:
-            eta = cv.eta_generalized(cv.ResourceSpec(3, 1.0, 1.0, float(rbar)))
-            E = (1 - mp.mpf(eta)) / (1 + mp.mpf(eta))
+            iso = cv.IsoEntangledClass(3, 1.0, 1.0, float(rbar))
+            E = (1 - mp.mpf(iso.eta_N)) / (1 + mp.mpf(iso.eta_N))
             num = 2 * mp.sqrt(2) * E - (E + 1) * mp.sqrt(E ** 2 + 1)
             den = (E - 1) * mp.sqrt(E ** 2 + 4 * E + 1)
             for base in (2.0, math.e):
                 first = mp.log(num / den) / mp.log(base)
                 second = mp.log((E ** 2 + 1) / (E ** 2 + 4 * E + 1)) / mp.log(base)
                 want = first ** 2 - second ** 2 / 2
-                assert abs(_contangle(eta, base) - want) <= 3e-14 * want, rbar
+                assert abs(iso.contangle(base) - want) <= 3e-14 * want, rbar
 
     def test_small_E_T_against_mpmath(self):
         """rbar in [1e-4, 300], down to E_T ~ 7e-5 where E_tau ~ 16 E_T^3: the
@@ -240,14 +271,14 @@ class TestContangle:
         mp.dps = 700
         rbars = list(np.geomspace(1e-4, 300, 100)) + list(np.geomspace(1e-4, 0.05, 60))
         for rbar in rbars:
-            eta = cv.eta_generalized(cv.ResourceSpec(3, 1.0, 1.0, float(rbar)))
-            E = (1 - mp.mpf(eta)) / (1 + mp.mpf(eta))
+            iso = cv.IsoEntangledClass(3, 1.0, 1.0, float(rbar))
+            E = (1 - mp.mpf(iso.eta_N)) / (1 + mp.mpf(iso.eta_N))
             ratio = ((2 * mp.sqrt(2) * E - (E + 1) * mp.sqrt(E ** 2 + 1))
                      / ((E - 1) * mp.sqrt(E ** 2 + 4 * E + 1)))
             for base in (2.0, math.e):
                 want = (mp.log(ratio) ** 2
                         - mp.log((E ** 2 + 1) / (E ** 2 + 4 * E + 1)) ** 2 / 2) / mp.log(base) ** 2
-                assert abs(_contangle(eta, base) - want) <= 1e-14 * want, (rbar, base)
+                assert abs(iso.contangle(base) - want) <= 1e-14 * want, (rbar, base)
 
 
 class TestEprEtaSymmetric:

@@ -179,17 +179,18 @@ class TestLocalizableEta:
 
 class TestLocalizableEntanglement:
     def test_separable(self):
-        assert cv.localizable_entanglement(cv.ResourceSpec(3, 1, 1, 0.0)) == 0.0
+        assert cv.eof_symmetric(cv.localizable_eta(cv.ResourceSpec(3, 1, 1, 0.0))) == 0.0
 
     def test_three_mode_value(self):
         eta3 = math.sqrt(3 / (2 * math.e ** 2 + 1))
-        assert cv.localizable_entanglement(cv.ResourceSpec(3, 1, 1, 0.5)) == pytest.approx(
+        spec = cv.ResourceSpec(3, 1, 1, 0.5)
+        assert cv.eof_symmetric(cv.localizable_eta(spec)) == pytest.approx(
             cv.eof_symmetric(eta3), abs=1e-9
         )
 
     def test_two_mode_equals_eof(self):
         spec = cv.ResourceSpec(2, 1, 1, 0.5)
-        assert cv.localizable_entanglement(spec) == pytest.approx(
+        assert cv.eof_symmetric(cv.localizable_eta(spec)) == pytest.approx(
             cv.eof_symmetric(math.exp(-1)), abs=1e-10
         )
 
@@ -197,6 +198,6 @@ class TestLocalizableEntanglement:
         for N, n1, n2, rbar in itertools.product((3, 4), (1.0, 1.5), (1.0,), (0.5, 1.0)):
             spec = cv.ResourceSpec(N, n1, n2, rbar)
             E_T = cv.entanglement_of_teleportation(cv.eta_generalized(spec))
-            assert cv.localizable_entanglement(spec) == pytest.approx(
+            assert cv.eof_symmetric(cv.localizable_eta(spec)) == pytest.approx(
                 cv.eof_localizable(E_T), abs=1e-9
             )

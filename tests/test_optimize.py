@@ -7,27 +7,45 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cvteleport as cv
-from cvteleport.optimize import _phi
 
 
 class TestDOptTwoMode:
+    """d_N_opt at N = 2 is (1/4) ln(n1/n2), whatever rbar."""
+
     def test_equal_noises(self):
-        assert cv.d_opt_two_mode(1, 1) == 0.0
+        for rbar in (0.0, 1.0, 300.0):
+            assert cv.d_N_opt(2, 1, 1, rbar) == 0.0
 
     def test_value(self):
-        assert cv.d_opt_two_mode(2, 1) == pytest.approx(0.25 * math.log(2), rel=1e-15)
+        assert cv.d_N_opt(2, 2, 1, 1.0) == pytest.approx(0.25 * math.log(2), rel=1e-15)
 
     def test_antisymmetry(self):
-        assert cv.d_opt_two_mode(1, 2) == -cv.d_opt_two_mode(2, 1)
+        for n1, n2 in [(1, 2), (1.5, 1.2), (1.0, 7.3)]:
+            assert cv.d_N_opt(2, n1, n2, 1.0) == pytest.approx(
+                -cv.d_N_opt(2, n2, n1, 1.0), rel=1e-15)
 
     def test_is_zero_of_phi_derivative(self):
         # oracle: central finite difference of phi at the claimed optimum
         for n1, n2 in [(1.5, 1.0), (2.0, 1.3), (1.0, 2.0)]:
-            d0 = cv.d_opt_two_mode(n1, n2)
+            d0 = cv.d_N_opt(2, n1, n2, 1.0)
             h = 1e-6
             deriv = (cv.phi_two_mode(1.0, d0 + h, n1, n2)
                      - cv.phi_two_mode(1.0, d0 - h, n1, n2)) / (2 * h)
             assert abs(deriv) < 1e-7
+
+
+@pytest.mark.parametrize("fn", [cv.g_N_opt, cv.d_N_opt, cv.optimal_fidelity, cv.worst_case,
+                                cv.d_unbiased])
+@pytest.mark.parametrize("args", [(1, 1, 1, 0.5), (3, 1, 1, -0.2), (2, 1, 1, math.nan),
+                                  (3, 0.5, 1, 0.5), (3, 1, 1, math.inf)],
+                         ids=["N=1", "rbar<0", "rbar=nan", "n1<1", "rbar=inf"])
+def test_closed_forms_reject_what_resource_spec_rejects(fn, args):
+    """Each closed form validates (N, n1, n2, rbar) with ResourceSpec's message."""
+    with pytest.raises(ValueError) as rejected:
+        cv.ResourceSpec(*args)
+    with pytest.raises(ValueError) as also_rejected:
+        fn(*args)
+    assert str(also_rejected.value) == str(rejected.value)
 
 
 class TestGNOpt:
@@ -49,7 +67,7 @@ class TestGNOpt:
             d = dfrac * rbar
             spec = cv.ResourceSpec(N, n1, n2, rbar, d)
             g_num = cv.golden_section(
-                lambda g: cv.variances_closed_form_network(spec, g)[1], -3, 3
+                lambda g: cv.network_variances(spec.N, spec.variances, g)[1], -3, 3
             )
             assert g_num == pytest.approx(g_closed, abs=1e-8)
 
@@ -58,9 +76,7 @@ class TestDNOpt:
     def test_reduces_to_two_mode(self):
         for rbar in (0.0, 0.5, 2.0):
             assert cv.d_N_opt(2, 1, 1, rbar) == pytest.approx(0.0, abs=1e-14)
-        assert cv.d_N_opt(2, 2, 1, 0.7) == pytest.approx(
-            cv.d_opt_two_mode(2, 1), abs=1e-14
-        )
+        assert cv.d_N_opt(2, 2, 1, 0.7) == pytest.approx(0.25 * math.log(2), rel=1e-15)
 
     def test_three_mode_value(self):
         expected = 0.5 + 0.25 * math.log(3 / (1 + 2 * math.e ** 2))
@@ -199,8 +215,8 @@ class TestNumericalOptimum:
 class TestWorstCase:
     def test_two_mode_symmetric_tie(self):
         w = cv.worst_case(2, 1, 1, 0.7)
-        a = _phi((2, 1, 1, 0.7), -0.7, 0.0) ** -0.5
-        b = _phi((2, 1, 1, 0.7), 0.7, 0.0) ** -0.5
+        iso = cv.IsoEntangledClass(2, 1, 1, 0.7)
+        a, b = iso.fidelity(-0.7, 0.0), iso.fidelity(0.7, 0.0)
         assert a == pytest.approx(b, rel=1e-14)
         assert w.fidelity_worst == pytest.approx(a, rel=1e-14)
 
@@ -266,7 +282,7 @@ class TestDUnbiased:
             (2, 3, 4, 8), (1.0, 1.5), (1.0, 1.3), (0.25, 0.75, 1.5)
         ):
             g = 0.0 if N == 2 else cv.g_N_opt(N, n1, n2, rbar)
-            fid = lambda d: _phi((N, n1, n2, rbar), d, g) ** -0.5
+            fid = lambda d: cv.IsoEntangledClass(N, n1, n2, rbar).fidelity(d, g)
             f_worst = cv.worst_case(N, n1, n2, rbar).fidelity_worst
             f_equal = fid(0.0)
             f_unbiased = fid(cv.d_unbiased(N, n1, n2, rbar))

@@ -87,18 +87,19 @@ class TestClosedFormNetwork:
     def test_two_mode(self):
         spec = cv.ResourceSpec(2, 1, 1, 0.5, 0.0)
         for g in (0.0, 0.7, 1.0):
-            vx, vp = cv.variances_closed_form_network(spec, g)
+            vx, vp = cv.network_variances(spec.N, spec.variances, g)
             assert vx == pytest.approx(2 * E_INV, rel=1e-14)
             assert vp == pytest.approx(2 * E_INV, rel=1e-14)
 
     def test_three_mode_vacuum(self):
-        vx, vp = cv.variances_closed_form_network(cv.ResourceSpec(3, 1, 1, 0.0), 1.0)
+        spec = cv.ResourceSpec(3, 1, 1, 0.0)
+        vx, vp = cv.network_variances(spec.N, spec.variances, 1.0)
         assert vx == pytest.approx(2.0)
         assert vp == pytest.approx(3.0)
 
     def test_var_x_gain_independent(self):
         spec = cv.ResourceSpec(5, 1.4, 1.2, 0.6, 0.1)
-        vxs = {cv.variances_closed_form_network(spec, g)[0] for g in (0.0, 0.5, 2.0)}
+        vxs = {cv.network_variances(spec.N, spec.variances, g)[0] for g in (0.0, 0.5, 2.0)}
         assert len(vxs) == 1
 
     def test_grid_equivalence_with_pipeline(self):
@@ -112,7 +113,7 @@ class TestClosedFormNetwork:
                 sigma = cv.build_resource(spec)
                 for g in (0.0, 0.5, 1.0):
                     vx, vp = teleported_variances(sigma, 0, 1, g)
-                    cx, cp = cv.variances_closed_form_network(spec, g)
+                    cx, cp = cv.network_variances(spec.N, spec.variances, g)
                     worst = max(worst, abs(vx - cx), abs(vp - cp))
         assert worst < 1e-10
 
