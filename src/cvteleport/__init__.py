@@ -40,7 +40,6 @@ from .entanglement import (
     entanglement_report,
     eof_localizable,
     eof_symmetric,
-    epr_eta_symmetric,
     eta_closed_form,
     eta_generalized,
     eta_one_vs_rest,
@@ -51,7 +50,6 @@ from .teleport import (
     ProtocolParams,
     TeleportOutcome,
     fidelity_network,
-    phi_two_mode,
     teleported_variances,
 )
 from .optimize import (

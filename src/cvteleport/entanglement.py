@@ -2,9 +2,11 @@
 
 All measures funnel through the smallest symplectic eigenvalue eta of the
 partially transposed covariance matrix (PPT criterion: entangled iff eta < 1)
-and its N-mode generalization eta_N.  Entropic quantities default to base-2
-logarithms (ebits); pass ``base=np.e`` for nats.  Monotonicity statements are
-base independent.
+and its N-mode generalization eta_N.  On the symmetric resource both have
+closed forms; on a general two-mode state ``eta_two_mode`` reads eta off
+``gaussian.symplectic_eigenvalues``, the package's one spectrum routine.
+Entropic quantities default to base-2 logarithms (ebits); pass ``base=np.e``
+for nats.  Monotonicity statements are base independent.
 """
 
 from __future__ import annotations
@@ -12,19 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .gaussian import CovarianceMatrix, ResourceSpec
+from .gaussian import CovarianceMatrix, ResourceSpec, partial_transpose, symplectic_eigenvalues
 from .structured import _contangle
-
-DISCRIMINANT_TOL = 1e-9
-
-
-def _blocks(sigma: CovarianceMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """alpha, beta (single-mode blocks) and gamma (correlations) of a two-mode CM."""
-    if sigma.n_modes != 2:
-        raise ValueError(f"expected a two-mode state, got {sigma.n_modes} modes")
-    return sigma.mode_block(0, 0), sigma.mode_block(1, 1), sigma.mode_block(0, 1)
 
 
 @dataclass(frozen=True)
@@ -47,22 +38,11 @@ class EntanglementReport:
 
 
 def eta_two_mode(sigma: CovarianceMatrix) -> float:
-    """Smallest symplectic eigenvalue of the partial transpose of a two-mode CM.
-
-    Uses the determinant formula 2 eta^2 = S - sqrt(S^2 - 4 det sigma) with
-    S = det alpha + det beta - 2 det gamma.
-    """
-    alpha, beta, gamma = _blocks(sigma)
-    S = float(np.linalg.det(alpha) + np.linalg.det(beta) - 2.0 * np.linalg.det(gamma))
-    det = float(np.linalg.det(sigma.entries))
-    disc = S * S - 4.0 * det
-    if disc < -DISCRIMINANT_TOL:
-        raise ArithmeticError(f"negative discriminant {disc} in symplectic eigenvalue formula")
-    disc = max(disc, 0.0)
-    eta2 = 0.5 * (S - math.sqrt(disc))
-    if eta2 < -DISCRIMINANT_TOL:
-        raise ArithmeticError(f"negative squared eigenvalue {eta2}")
-    return math.sqrt(max(eta2, 0.0))
+    """Smallest symplectic eigenvalue of the partial transpose of a two-mode CM,
+    from ``symplectic_eigenvalues`` of the time-reversed second mode."""
+    if sigma.n_modes != 2:
+        raise ValueError(f"expected a two-mode state, got {sigma.n_modes} modes")
+    return float(symplectic_eigenvalues(partial_transpose(sigma, (1,)))[0])
 
 
 def eta_closed_form(n1: float, n2: float, r1: float, r2: float) -> float:
@@ -137,22 +117,6 @@ def contangle_from_ET(E_T: float, base: float = 2.0) -> float:
     if not 0.0 <= E_T < 1.0:
         raise ValueError(f"E_T must lie in [0, 1), got {E_T}")
     return _contangle((1.0 - E_T) / (1.0 + E_T), base)
-
-
-def epr_eta_symmetric(sigma: CovarianceMatrix) -> float:
-    """eta of a symmetric two-mode state from its EPR correlations.
-
-    4 eta = <(x1 - x2)^2> + <(p1 + p2)^2>; holds only when det alpha equals
-    det beta, so asymmetric inputs are rejected.
-    """
-    alpha, beta, _ = _blocks(sigma)
-    da, db = np.linalg.det(alpha), np.linalg.det(beta)
-    if abs(da - db) > 1e-8 * max(1.0, abs(da), abs(db)):
-        raise ValueError("EPR identity requires a symmetric state (det alpha = det beta)")
-    m = sigma.entries
-    var_x_rel = m[0, 0] - 2.0 * m[0, 2] + m[2, 2]
-    var_p_tot = m[1, 1] + 2.0 * m[1, 3] + m[3, 3]
-    return 0.25 * (var_x_rel + var_p_tot)
 
 
 def eta_one_vs_rest(spec: ResourceSpec) -> float:

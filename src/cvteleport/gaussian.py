@@ -47,7 +47,9 @@ class CovarianceMatrix:
 
     Validated on construction: finite entries, symmetry to 1e-12, physicality.
     One complex Cholesky of sigma + i(1 - 1e-9) Omega accepts it: that holds exactly
-    when every symplectic eigenvalue exceeds 1 - 1e-9.  The spectrum runs only if not.
+    when every symplectic eigenvalue exceeds 1 - 1e-9.  Only if it fails does
+    ``symplectic_eigenvalues`` run, which rejects a matrix that is not positive
+    definite and otherwise gives the nu_min that decides and words the rejection.
     """
 
     entries: np.ndarray
@@ -67,17 +69,13 @@ class CovarianceMatrix:
         with suppress(np.linalg.LinAlgError):  # if it fails, the spectrum decides and words it
             np.linalg.cholesky(m + _shifted_omega(m.shape[0]))
             return  # sigma + i(1 - tol) Omega > 0: every nu > 1 - tol, so sigma > 0 too
-        try:
-            np.linalg.cholesky(m)
-        except np.linalg.LinAlgError:
-            raise ValueError("covariance matrix is not positive definite") from None
-        nu_min = np.min(symplectic_eigenvalues(self))
-        # norm-scaled slack for entries >> 1e6, where the eigensolve cannot resolve nu
+        nu_min = symplectic_eigenvalues(self)[0]
+        # norm-scaled slack for entries >> 1e6, where the spectrum cannot resolve nu
         # to 1e-9; it only widens the bound, so its SVD runs only when 1e-9 rejects
         if nu_min < 1.0 - PHYSICALITY_TOL and (
                 nu_min < 1.0 - 64 * np.finfo(float).eps * np.linalg.norm(m, 2)):
             raise ValueError(
-                f"unphysical covariance matrix: min symplectic eigenvalue {nu_min}"
+                f"unphysical covariance matrix: min symplectic eigenvalue {nu_min:.12g}"
             )
 
     def mode_block(self, i: int, j: int) -> np.ndarray:
@@ -255,19 +253,21 @@ def build_resource(spec: ResourceSpec) -> CovarianceMatrix:
 
 
 def symplectic_eigenvalues(sigma) -> np.ndarray:
-    """Symplectic spectrum of a CM-shaped matrix, sorted ascending.
+    """Symplectic spectrum of a positive-definite CM-shaped matrix, sorted ascending.
 
-    Returns the N moduli of the spectrum of i*Omega*sigma (each doubly
-    degenerate pair collapsed to one), computed as the positive square roots
-    of the eigenvalues of -(Omega sigma)^2.  Accepts a CovarianceMatrix or a
-    raw symmetric matrix (e.g. a partial transpose, which may be unphysical).
+    With sigma = L L^T (Cholesky), Omega sigma is similar to the real
+    skew-symmetric L^T Omega L, whose singular values are the N symplectic
+    eigenvalues, each twice; the pairs are collapsed to one value.  Accepts a
+    CovarianceMatrix or a raw symmetric matrix: a partial transpose Lambda
+    sigma Lambda is congruent to sigma, so it is positive definite too.
+    Raises ValueError if the matrix is not positive definite.
     """
     m = sigma.entries if isinstance(sigma, CovarianceMatrix) else np.asarray(sigma, float)
-    n = m.shape[0] // 2
-    ws = omega(n) @ m
-    ev = np.linalg.eigvals(-ws @ ws)
-    ev = np.sort(np.clip(ev.real, 0.0, None))
-    nu = np.sqrt(ev)
+    try:
+        L = np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        raise ValueError("covariance matrix is not positive definite") from None
+    nu = np.linalg.svd(L.T @ omega(m.shape[0] // 2) @ L, compute_uv=False)[::-1]
     return 0.5 * (nu[0::2] + nu[1::2])  # collapse the degenerate pairs
 
 

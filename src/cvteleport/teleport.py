@@ -73,13 +73,6 @@ def teleported_variances(
     return float(u @ m @ u), float(v @ m @ v)
 
 
-def phi_two_mode(rbar: float, d: float, n1: float, n2: float) -> float:
-    """Two-mode fidelity kernel phi (fidelity = phi^{-1/2})."""
-    return math.exp(-4.0 * rbar) * (math.exp(2.0 * (rbar + d)) + n1) * (
-        math.exp(2.0 * (rbar - d)) + n2
-    )
-
-
 def _checked_gain(spec: ResourceSpec, params: ProtocolParams) -> float:
     """The gain of params, after checking its sender/receiver pair against the
     resource's modes; "optimal" is g_N_opt (1 at N = 2, where it is inert)."""

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import cvteleport as cv
+from oracles import epr_eta_symmetric, symplectic_min_mp
 
 E_INV = math.exp(-1)
 # frozen from term-by-term evaluation of f(e^{-1}) with base-2 logs
@@ -29,12 +30,19 @@ class TestEtaTwoMode:
         assert cv.eta_two_mode(cm) == pytest.approx(E_INV, abs=1e-12)
 
     def test_separable_thermal_product(self):
-        # gamma = 0: Sigma = 2 n^2, det = n^4, eta = n; the discriminant
-        # has a double root here, so only sqrt(eps) accuracy is attainable
+        # gamma = 0: both modes thermal with n = 2, so eta = n
         prod = cv.block_diag_cm(
             cv.squeezed_thermal_cm(2.0, 0.0), cv.squeezed_thermal_cm(2.0, 0.0)
         )
-        assert cv.eta_two_mode(prod) == pytest.approx(2.0, abs=1e-7)
+        assert cv.eta_two_mode(prod) == pytest.approx(2.0, rel=1e-14)
+
+    def test_separable_resource_against_80_digits(self):
+        # separable at d_N_opt, eta = sqrt(1.8): a double root of det-based
+        # formulas, which keep only sqrt(eps) here (6e-9)
+        d = cv.d_N_opt(2, 1.5, 1.2, 0.0)
+        cm = cv.build_resource(cv.ResourceSpec(2, 1.5, 1.2, 0.0, d, constrain_bias=False))
+        want = symplectic_min_mp(cv.partial_transpose(cm, {1}))
+        assert cv.eta_two_mode(cm) == pytest.approx(want, rel=1e-14)
 
     def test_agrees_with_pt_pipeline(self):
         rng = np.random.default_rng(13)
@@ -49,8 +57,8 @@ class TestEtaTwoMode:
             spec = cv.ResourceSpec(spec.N, spec.n1, spec.n2, spec.rbar,
                                    rng.uniform(-spec.rbar, spec.rbar))
             cm = cv.build_resource(spec)
-            via_pt = np.min(cv.symplectic_eigenvalues(cv.partial_transpose(cm, {1})))
-            assert cv.eta_two_mode(cm) == pytest.approx(via_pt, abs=1e-10)
+            want = cv.eta_closed_form(spec.n1, spec.n2, spec.r1, spec.r2)
+            assert cv.eta_two_mode(cm) == pytest.approx(want, abs=1e-10)
 
 
 class TestEtaClosedForm:
@@ -283,11 +291,11 @@ class TestContangle:
 
 class TestEprEtaSymmetric:
     def test_vacuum(self):
-        assert cv.epr_eta_symmetric(cv.vacuum_cm(2)) == pytest.approx(1.0, abs=1e-14)
+        assert epr_eta_symmetric(cv.vacuum_cm(2)) == pytest.approx(1.0, abs=1e-14)
 
     def test_two_mode_squeezed(self):
         cm = cv.build_resource(cv.ResourceSpec(2, 1, 1, 0.5, 0.0))
-        assert cv.epr_eta_symmetric(cm) == pytest.approx(E_INV, abs=1e-12)
+        assert epr_eta_symmetric(cm) == pytest.approx(E_INV, abs=1e-12)
 
     def test_agrees_with_sigma_formula(self):
         rng = np.random.default_rng(19)
@@ -295,7 +303,7 @@ class TestEprEtaSymmetric:
             n = rng.uniform(1.0, 2.5)
             rbar = rng.uniform(0.0, 1.2)
             cm = cv.build_resource(cv.ResourceSpec(2, n, n, rbar, 0.0))
-            assert cv.epr_eta_symmetric(cm) == pytest.approx(
+            assert epr_eta_symmetric(cm) == pytest.approx(
                 cv.eta_two_mode(cm), abs=1e-10
             )
 
@@ -304,7 +312,7 @@ class TestEprEtaSymmetric:
             cv.squeezed_thermal_cm(1.0, 0.0), cv.squeezed_thermal_cm(2.0, 0.0)
         )
         with pytest.raises(ValueError):
-            cv.epr_eta_symmetric(cm)
+            epr_eta_symmetric(cm)
 
 
 class TestReport:

@@ -7,6 +7,7 @@ import pytest
 
 import cvteleport as cv
 from cvteleport.gaussian import omega
+from oracles import symplectic_min_mp
 
 
 def random_symplectic(n_modes, rng):
@@ -215,6 +216,20 @@ class TestSymplecticEigenvalues:
         cm = cv.build_resource(cv.ResourceSpec(2, 1, 1, 0.8, 0.0))
         assert np.allclose(cv.symplectic_eigenvalues(cm), [1.0, 1.0], atol=1e-12)
 
+    def test_not_positive_definite(self):
+        with pytest.raises(ValueError, match="^covariance matrix is not positive definite$"):
+            cv.symplectic_eigenvalues(np.diag([1.0, -1.0]))
+
+    @pytest.mark.parametrize("rbar", [6.2, 6.55])
+    def test_against_80_digits(self, rbar):
+        # build_resource's double matrix at N = 2, n1 = n2 = 1; an eigensolve of the
+        # non-symmetric -(Omega sigma)^2 is 3e-7 (rbar 6.2) and 3e-6 (rbar 6.55) off
+        e = math.exp(2 * rbar)
+        S = cv.n_splitter(2).entries
+        m = S @ np.diag([e, 1 / e, 1 / e, e]) @ S.T
+        m = 0.5 * (m + m.T)
+        assert cv.symplectic_eigenvalues(m)[0] == pytest.approx(symplectic_min_mp(m), rel=1e-10)
+
     def test_invariant_under_symplectic(self):
         rng = np.random.default_rng(11)
         sigma = cv.build_resource(cv.ResourceSpec(3, 1.4, 1.2, 0.5, 0.1))
@@ -380,7 +395,7 @@ class TestCholeskyValidation:
         if nu_min >= 1.0 - cv.gaussian.PHYSICALITY_TOL:
             assert np.array_equal(cv.CovarianceMatrix(sigma).entries, sigma)
         else:
-            message = f"min symplectic eigenvalue {np.min(cv.symplectic_eigenvalues(sigma))}"
+            message = f"min symplectic eigenvalue {cv.symplectic_eigenvalues(sigma)[0]:.12g}"
             with pytest.raises(ValueError) as info:
                 cv.CovarianceMatrix(sigma)
             assert str(info.value) == f"unphysical covariance matrix: {message}"

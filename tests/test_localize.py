@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import cvteleport as cv
+from oracles import epr_eta_symmetric
 
 
 class TestHomodyneCondition:
@@ -173,7 +174,7 @@ class TestLocalizableEta:
         spec = cv.ResourceSpec(3, 1, 1, 0.75, cv.d_N_opt(3, 1, 1, 0.75))
         loc = cv.localize(cv.build_resource(spec)).cm
         assert 4 * cv.eta_two_mode(loc) == pytest.approx(
-            4 * cv.epr_eta_symmetric(loc), abs=1e-9
+            4 * epr_eta_symmetric(loc), abs=1e-9
         )
 
 

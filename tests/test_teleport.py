@@ -6,6 +6,7 @@ import pytest
 
 import cvteleport as cv
 from cvteleport.teleport import teleported_variances
+from oracles import phi_two_mode
 
 E_INV = math.exp(-1)
 
@@ -59,11 +60,11 @@ class TestTeleportedVariances:
 
 class TestPhiTwoMode:
     def test_vacuum_resource(self):
-        assert cv.phi_two_mode(0, 0, 1, 1) == pytest.approx(4.0)
-        assert cv.phi_two_mode(0, 0, 1, 1) ** -0.5 == pytest.approx(0.5)
+        assert phi_two_mode(0, 0, 1, 1) == pytest.approx(4.0)
+        assert phi_two_mode(0, 0, 1, 1) ** -0.5 == pytest.approx(0.5)
 
     def test_squeezed_value(self):
-        assert cv.phi_two_mode(0.5, 0, 1, 1) == pytest.approx(
+        assert phi_two_mode(0.5, 0, 1, 1) == pytest.approx(
             (1 + E_INV) ** 2, rel=1e-14
         )
 
@@ -72,13 +73,13 @@ class TestPhiTwoMode:
             spec = cv.ResourceSpec(2, n1, n2, rbar, d)
             out = cv.fidelity_network(spec, cv.ProtocolParams(gain=1.0))
             assert out.fidelity == pytest.approx(
-                cv.phi_two_mode(rbar, d, n1, n2) ** -0.5, abs=1e-10
+                phi_two_mode(rbar, d, n1, n2) ** -0.5, abs=1e-10
             )
 
     def test_convex_in_d(self):
         rbar, n1, n2 = 0.8, 1.5, 1.1
         ds = np.linspace(-rbar, rbar, 41)
-        phis = [cv.phi_two_mode(rbar, d, n1, n2) for d in ds]
+        phis = [phi_two_mode(rbar, d, n1, n2) for d in ds]
         second = np.diff(phis, 2)
         assert np.all(second >= -1e-12)
 
