@@ -11,18 +11,15 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import sys
 from dataclasses import asdict, replace
 
-import numpy as np
-
 from . import __version__
-from .gaussian import ResourceSpec, build_resource
 from .entanglement import entanglement_of_teleportation, entanglement_report, eof_symmetric
 from .localize import localizable_report
-from .mc import McConfig, simulate
 from .optimize import d_N_opt, g_N_opt, numerical_optimum, optimal_fidelity
-from .structured import IsoEntangledClass, network_variances
+from .structured import IsoEntangledClass, ResourceSpec, network_variances
 from .teleport import ProtocolParams, fidelity_network
 
 SWEEP_COLUMNS = [
@@ -38,7 +35,7 @@ def _fmt(value) -> str:
         return ""
     if isinstance(value, str):
         return value
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, (int, numbers.Integral)):  # int first: the sweep's N skips the ABC check
         return str(int(value))
     if math.isinf(value):
         return "inf"
@@ -48,7 +45,7 @@ def _fmt(value) -> str:
 def _round_trip(value):
     """Round a value through the 12-significant-digit CSV rendering so the
     JSON and CSV encodings carry identical numbers."""
-    if value is None or isinstance(value, (str, bool, int, np.integer)):
+    if value is None or isinstance(value, (str, bool, int, numbers.Integral)):
         return value
     if math.isinf(value):
         return "inf"
@@ -190,9 +187,12 @@ def cmd_sweep(args) -> int:
 
 
 def _verify_suites(seed: int, samples: int, inject_fault: bool) -> list[tuple[str, float, float]]:
-    """Each suite returns (name, max deviation, tolerance)."""
+    """Each suite returns (name, max deviation, tolerance); the only route that
+    loads numpy, through the dense layer and the Monte Carlo sampler."""
     from .entanglement import eta_generalized, eta_two_mode
+    from .gaussian import build_resource
     from .localize import localize
+    from .mc import McConfig, simulate
     from .teleport import teleported_variances
 
     suites = []

@@ -13,9 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .gaussian import CovarianceMatrix, ResourceSpec, partial_transpose, symplectic_eigenvalues
-from .structured import _contangle
+from .structured import ResourceSpec, _contangle
+
+if TYPE_CHECKING:
+    from .gaussian import CovarianceMatrix
 
 
 @dataclass(frozen=True)
@@ -40,6 +43,8 @@ class EntanglementReport:
 def eta_two_mode(sigma: CovarianceMatrix) -> float:
     """Smallest symplectic eigenvalue of the partial transpose of a two-mode CM,
     from ``symplectic_eigenvalues`` of the time-reversed second mode."""
+    from .gaussian import partial_transpose, symplectic_eigenvalues
+
     if sigma.n_modes != 2:
         raise ValueError(f"expected a two-mode state, got {sigma.n_modes} modes")
     return float(symplectic_eigenvalues(partial_transpose(sigma, (1,)))[0])

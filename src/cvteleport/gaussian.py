@@ -7,6 +7,10 @@ Conventions used throughout the package:
   so a state is physical iff every symplectic eigenvalue is >= 1
 * the beam splitter follows the phase-free convention
   ``a_i -> a_i cos(t) + a_j sin(t)``, ``a_j -> a_i sin(t) - a_j cos(t)``
+
+This is the package's numpy layer: it is imported only by routes that build
+or read a covariance matrix.  ``ResourceSpec`` is defined in the pure-Python
+``structured`` module and re-exported here.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .structured import IsoEntangledClass, input_variances
+from .structured import ResourceSpec
 
 SYMMETRY_TOL = 1e-12
 PHYSICALITY_TOL = 1e-9
@@ -100,51 +104,6 @@ class SymplecticTransform:
             raise ValueError("matrix does not preserve the symplectic form")
         object.__setattr__(self, "entries", _freeze(m))
         object.__setattr__(self, "n_modes", n)
-
-
-@dataclass(frozen=True)
-class ResourceSpec:
-    """Knobs of the symmetric N-mode squeezed-thermal resource family.
-
-    One momentum-squeezed mode (noise n1, squeezing r1 = rbar + d) is combined
-    with N - 1 position-squeezed modes (noise n2, squeezing r2 = rbar - d)
-    through a balanced N-splitter.
-
-    By default the bias is constrained to |d| <= rbar so both squeezings stay
-    nonnegative.  Pass ``constrain_bias=False`` to allow the unconstrained
-    optimal bias, which may drive r2 slightly negative (an anti-squeezed but
-    still physical input).  ``iso`` is the resource's validated iso-entangled
-    class (N, n1, n2, rbar).
-    """
-
-    N: int
-    n1: float
-    n2: float
-    rbar: float
-    d: float = 0.0
-    constrain_bias: bool = True
-    iso: IsoEntangledClass = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        iso = IsoEntangledClass(self.N, self.n1, self.n2, self.rbar)
-        object.__setattr__(self, "N", iso.N)
-        object.__setattr__(self, "iso", iso)
-        if not math.isfinite(self.d):
-            raise ValueError(f"d must be finite, got {self.d}")
-        if self.constrain_bias and abs(self.d) > self.rbar + 1e-12:
-            raise ValueError(f"bias d={self.d} outside [-rbar, rbar] with rbar={self.rbar}")
-
-    @property
-    def r1(self) -> float:
-        return self.rbar + self.d
-
-    @property
-    def r2(self) -> float:
-        return self.rbar - self.d
-
-    @property
-    def variances(self) -> tuple[float, float, float, float]:
-        return input_variances(self.n1, self.n2, self.r1, self.r2)
 
 
 def vacuum_cm(n_modes: int) -> CovarianceMatrix:

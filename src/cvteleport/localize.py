@@ -13,11 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .gaussian import CovarianceMatrix, ResourceSpec
 from .entanglement import entanglement_of_teleportation, eof_symmetric, eta_generalized
+from .structured import ResourceSpec
+
+if TYPE_CHECKING:
+    from .gaussian import CovarianceMatrix
 
 
 @dataclass(frozen=True)
@@ -40,6 +42,10 @@ def _condition(sigma: CovarianceMatrix, modes: tuple, quadrature: str) -> Condit
     quadratures' block B and their correlations C, the output is the Schur
     complement A - C B^-1 C^T, independent of the outcomes; it is validated once.
     """
+    import numpy as np
+
+    from .gaussian import CovarianceMatrix
+
     measured = [2 * j + (quadrature == "p") for j in modes]
     gone = {2 * j + q for j in modes for q in (0, 1)}
     keep = [i for i in range(2 * sigma.n_modes) if i not in gone]

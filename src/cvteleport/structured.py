@@ -7,6 +7,8 @@ teleported variances from them in O(1).  Every member with the same
 ``IsoEntangledClass`` validates those four numbers once, forms q = e^{-4 rbar}
 once, and holds each closed form of the class in one method.  Natural logs
 throughout; the forms use q, so nothing overflows at large squeezing.
+``ResourceSpec`` (a class plus its bias d) lives here too, so that every
+closed-form route runs without numpy.
 """
 
 from __future__ import annotations
@@ -206,3 +208,48 @@ class IsoEntangledClass:
         if not (self.N == 3 and self.n1 == 1.0 and self.n2 == 1.0):
             return None
         return _contangle(self.eta_N, base)
+
+
+@dataclass(frozen=True)
+class ResourceSpec:
+    """Knobs of the symmetric N-mode squeezed-thermal resource family.
+
+    One momentum-squeezed mode (noise n1, squeezing r1 = rbar + d) is combined
+    with N - 1 position-squeezed modes (noise n2, squeezing r2 = rbar - d)
+    through a balanced N-splitter.
+
+    By default the bias is constrained to |d| <= rbar so both squeezings stay
+    nonnegative.  Pass ``constrain_bias=False`` to allow the unconstrained
+    optimal bias, which may drive r2 slightly negative (an anti-squeezed but
+    still physical input).  ``iso`` is the resource's validated iso-entangled
+    class (N, n1, n2, rbar).
+    """
+
+    N: int
+    n1: float
+    n2: float
+    rbar: float
+    d: float = 0.0
+    constrain_bias: bool = True
+    iso: IsoEntangledClass = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        iso = IsoEntangledClass(self.N, self.n1, self.n2, self.rbar)
+        object.__setattr__(self, "N", iso.N)
+        object.__setattr__(self, "iso", iso)
+        if not math.isfinite(self.d):
+            raise ValueError(f"d must be finite, got {self.d}")
+        if self.constrain_bias and abs(self.d) > self.rbar + 1e-12:
+            raise ValueError(f"bias d={self.d} outside [-rbar, rbar] with rbar={self.rbar}")
+
+    @property
+    def r1(self) -> float:
+        return self.rbar + self.d
+
+    @property
+    def r2(self) -> float:
+        return self.rbar - self.d
+
+    @property
+    def variances(self) -> tuple[float, float, float, float]:
+        return input_variances(self.n1, self.n2, self.r1, self.r2)

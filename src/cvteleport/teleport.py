@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+from .structured import ResourceSpec, fidelity_from_variances, network_variances
 
-from .gaussian import CovarianceMatrix, ResourceSpec
-from .structured import fidelity_from_variances, network_variances
+if TYPE_CHECKING:
+    from .gaussian import CovarianceMatrix
 
 OPTIMAL = "optimal"
 
@@ -59,6 +60,8 @@ def teleported_variances(
     sigma: CovarianceMatrix, sender: int, receiver: int, gain: float
 ) -> tuple[float, float]:
     """Variances of x_rel and p_tot as quadratic forms on the resource CM."""
+    import numpy as np
+
     N = sigma.n_modes
     if not (0 <= sender < N and 0 <= receiver < N) or sender == receiver:
         raise ValueError(f"invalid sender/receiver pair ({sender}, {receiver}) for {N} modes")

@@ -4,11 +4,12 @@ import math
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cvteleport as cv
 from cvteleport import cli
-from cvteleport.cli import _fmt, main, sweep_rows
+from cvteleport.cli import _fmt, _round_trip, main, sweep_rows
 
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -374,6 +375,13 @@ class TestSweepRows:
         got = sweep_rows([4], [0.65], 1.0, 1.0)[0]["F_unbiased"]
         assert abs(got - want) <= 1e-15 * want
         assert _fmt(got) == "0.72731717643"
+
+
+def test_integers_render_as_integers():
+    """numbers.Integral covers numpy integers; a bool (bias_clamped) is an int."""
+    assert _fmt(np.int64(7)) == "7"
+    assert _fmt(True) == "1"
+    assert _round_trip(np.int64(7)) == 7
 
 
 def test_cli_imports_no_underscored_name():
