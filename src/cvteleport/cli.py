@@ -26,19 +26,19 @@ SWEEP_COLUMNS = [
     "N", "rbar", "F_opt", "F_equal", "F_unbiased", "F_worst",
     "eta_N", "E_T", "E_F_loc", "E_tau",
 ]
+# A sweep CSV row: N, eight floats as _fmt renders them, then E_tau (empty for None).
+_SWEEP_ROW = "%d" + ",%.12g" * 8 + ","
 
 
 def _fmt(value) -> str:
     if isinstance(value, float):  # the common case, first
-        return "inf" if math.isinf(value) else f"{value:.12g}"
+        return f"{value:.12g}"
     if value is None:
         return ""
     if isinstance(value, str):
         return value
-    if isinstance(value, (int, numbers.Integral)):  # int first: the sweep's N skips the ABC check
+    if isinstance(value, (int, numbers.Integral)):  # int first: skips the ABC check
         return str(int(value))
-    if math.isinf(value):
-        return "inf"
     return f"{float(value):.12g}"
 
 
@@ -48,7 +48,7 @@ def _round_trip(value):
     if value is None or isinstance(value, (str, bool, int, numbers.Integral)):
         return value
     if math.isinf(value):
-        return "inf"
+        return _fmt(value)
     return float(_fmt(value))
 
 
@@ -132,57 +132,59 @@ def cmd_localize(args) -> int:
     return 0
 
 
-def sweep_rows(N_list, rbars, n1: float, n2: float, base: float = 2.0) -> list[dict]:
-    """One row per (N, rbar), N-major order, with every Fig.-1-style curve.
-
-    Each row validates its (N, n1, n2, rbar) by building its iso-entangled
-    class, and every curve is one of the class's closed forms, at its optimal
-    gain.
-    """
-    rows = []
+def _sweep_tuples(N_list, rbars, n1: float, n2: float, base: float):
+    """One SWEEP_COLUMNS-ordered tuple per (N, rbar), N-major, each from its own class."""
     for N in N_list:
         for rbar in rbars:
             iso = IsoEntangledClass(N, n1, n2, rbar)
             eta_N, g = iso.eta_N, iso.gain
-            rows.append({
-                "N": N, "rbar": rbar,
-                "F_opt": iso.fidelity_opt,
-                "F_equal": iso.fidelity(0.0, g),
-                "F_unbiased": iso.fidelity(iso.d_unbiased, g),
-                "F_worst": iso.worst_case(g).fidelity_worst,
-                "eta_N": eta_N,
-                "E_T": entanglement_of_teleportation(eta_N),
-                "E_F_loc": eof_symmetric(eta_N, base),
-                "E_tau": iso.contangle(base),
-            })
-    return rows
+            yield (N, rbar, iso.fidelity_opt, iso.fidelity(0.0, g),
+                   iso.fidelity(iso.d_unbiased, g), iso.worst_case(g).fidelity_worst, eta_N,
+                   entanglement_of_teleportation(eta_N), eof_symmetric(eta_N, base),
+                   iso.contangle(base))
+
+
+def sweep_rows(N_list, rbars, n1: float, n2: float, base: float = 2.0) -> list[dict]:
+    """One row per (N, rbar), N-major order, with every Fig.-1-style curve.
+
+    Each row validates its (N, n1, n2, rbar) by building its own iso-entangled
+    class, and every curve is one of the class's closed forms, at its optimal
+    gain.
+    """
+    return [dict(zip(SWEEP_COLUMNS, row)) for row in _sweep_tuples(N_list, rbars, n1, n2, base)]
 
 
 def cmd_sweep(args) -> int:
     if args.steps < 2:
         raise ValueError("sweep needs at least 2 steps")
+    for flag, value in (("--rbar-min", args.rbar_min), ("--rbar-max", args.rbar_max)):
+        if not math.isfinite(value):
+            raise ValueError(f"{flag} must be finite, got {value}")
     if args.rbar_max < args.rbar_min:
         raise ValueError("rbar-max must be >= rbar-min")
-    N_list = [int(x) for x in args.N_list.split(",")]
+    try:
+        N_list = [int(x) for x in args.N_list.split(",")]
+    except ValueError:
+        raise ValueError(f"--N-list takes comma-separated integers, got {args.N_list!r}") from None
     if any(N < 2 for N in N_list):
         raise ValueError("every N in the sweep must be >= 2")
     rbars = [args.rbar_min + i * (args.rbar_max - args.rbar_min) / (args.steps - 1)
              for i in range(args.steps)]
-    rows = sweep_rows(N_list, rbars, args.n1, args.n2, base=_base(args))
+    rows = _sweep_tuples(N_list, rbars, args.n1, args.n2, _base(args))
     if args.output == "json":
         doc = {
             "tool": "cvteleport", "version": __version__,
             "config": {"N_list": N_list, "rbar_min": args.rbar_min,
                        "rbar_max": args.rbar_max, "steps": args.steps,
                        "n1": args.n1, "n2": args.n2, "log_base": args.log_base},
-            "rows": [{k: _round_trip(v) for k, v in r.items()} for r in rows],
+            "rows": [{c: _round_trip(v) for c, v in zip(SWEEP_COLUMNS, r)} for r in rows],
         }
         json.dump(doc, sys.stdout, indent=2)
         sys.stdout.write("\n")
     else:
-        sys.stdout.write(",".join(SWEEP_COLUMNS) + "\n")
-        for r in rows:
-            sys.stdout.write(",".join([_fmt(r[c]) for c in SWEEP_COLUMNS]) + "\n")
+        lines = [",".join(SWEEP_COLUMNS)]
+        lines += [_SWEEP_ROW % r[:9] + ("" if r[9] is None else "%.12g" % r[9]) for r in rows]
+        sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
 

@@ -116,9 +116,10 @@ class IsoEntangledClass:
     def __init__(self, N: int, n1: float, n2: float, rbar: float):
         if int(N) != N or N < 2:
             raise ValueError(f"N must be an integer >= 2, got {N}")
-        for name, value in (("n1", n1), ("n2", n2), ("rbar", rbar)):
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+        if not (math.isfinite(n1) and math.isfinite(n2) and math.isfinite(rbar)):
+            for name, value in (("n1", n1), ("n2", n2), ("rbar", rbar)):
+                if not math.isfinite(value):
+                    raise ValueError(f"{name} must be finite, got {value}")
         if n1 < 1.0 or n2 < 1.0:
             raise ValueError("thermal noise factors must be >= 1")
         if rbar < 0.0:

@@ -1,4 +1,6 @@
 import ast
+import contextlib
+import io
 import json
 import math
 import time
@@ -6,10 +8,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cvteleport as cv
 from cvteleport import cli
-from cvteleport.cli import _fmt, _round_trip, main, sweep_rows
+from cvteleport.cli import SWEEP_COLUMNS, _fmt, _round_trip, main, sweep_rows
 
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -299,6 +303,67 @@ class TestSweepCommand:
         code, _, _ = run(capsys, "sweep", "--rbar-min", "2", "--rbar-max", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("argv,message", [
+        (("--rbar-max", "inf", "--steps", "3", "--N-list", "3"),
+         "--rbar-max must be finite, got inf"),
+        (("--rbar-min", "nan"), "--rbar-min must be finite, got nan"),
+        (("--N-list", "3,x"), "--N-list takes comma-separated integers, got '3,x'"),
+        (("--N-list", "3.5"), "--N-list takes comma-separated integers, got '3.5'"),
+        (("--rbar-min=-0.5",), "average squeezing rbar must be >= 0"),
+        (("--steps", "1"), "sweep needs at least 2 steps"),
+        (("--rbar-min", "2", "--rbar-max", "1"), "rbar-max must be >= rbar-min"),
+    ])
+    def test_usage_error_names_the_flag(self, capsys, argv, message):
+        assert run(capsys, "sweep", *argv) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("output", ["csv", "json"])
+    def test_one_class_per_row(self, capsys, monkeypatch, output):
+        """Every row validates its own (N, n1, n2, rbar), N-major: a sweep of
+        R rows builds R classes, never one shared per sweep."""
+        built = []
+
+        def counting(*key):
+            built.append(key)
+            return cv.IsoEntangledClass(*key)
+
+        monkeypatch.setattr(cli, "IsoEntangledClass", counting)
+        code, out, _ = run(capsys, "sweep", "--rbar-max", "1", "--steps", "3",
+                           "--N-list", "2,7", "--n2", "1.5", "--output", output)
+        assert code == 0
+        assert built == [(N, 1.0, 1.5, r) for N in (2, 7) for r in (0.0, 0.5, 1.0)]
+        built.clear()
+        assert len(sweep_rows([4, 5], [0.1, 0.2], 1.0, 1.0)) == len(built) == 4
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    Ns=st.lists(st.integers(2, 10_000), min_size=1, max_size=4),
+    ends=st.lists(st.floats(0.0, 170.0), min_size=2, max_size=2),
+    steps=st.integers(2, 5),
+    n1=st.floats(1.0, 10.0),
+    n2=st.floats(1.0, 10.0),
+    log_base=st.sampled_from(["2", "e"]),
+)
+def test_sweep_csv_and_json_render_sweep_rows(Ns, ends, steps, n1, n2, log_base):
+    """Each CSV line is _fmt over the library's row, and each JSON row renders
+    to the same line."""
+    lo, hi = sorted(ends)
+    argv = ["sweep", "--rbar-min", repr(lo), "--rbar-max", repr(hi), "--steps", str(steps),
+            "--N-list", ",".join(map(str, Ns)), "--n1", repr(n1), "--n2", repr(n2),
+            "--log-base", log_base]
+    outputs = []
+    for output in ("csv", "json"):
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(argv + ["--output", output]) == 0
+        outputs.append(out.getvalue())
+    rbars = [lo + i * (hi - lo) / (steps - 1) for i in range(steps)]
+    rows = sweep_rows(Ns, rbars, n1, n2, base=2.0 if log_base == "2" else math.e)
+    header, *lines = outputs[0].splitlines()
+    assert header == ",".join(SWEEP_COLUMNS)
+    assert lines == [",".join(_fmt(row[c]) for c in SWEEP_COLUMNS) for row in rows]
+    json_rows = json.loads(outputs[1])["rows"]
+    assert [",".join(_fmt(row[c]) for c in SWEEP_COLUMNS) for row in json_rows] == lines
+
 
 class TestVerifyCommand:
     def test_default_passes(self, capsys):
@@ -382,6 +447,14 @@ def test_integers_render_as_integers():
     assert _fmt(np.int64(7)) == "7"
     assert _fmt(True) == "1"
     assert _round_trip(np.int64(7)) == 7
+
+
+def test_non_finite_floats_keep_their_sign():
+    """The sweep's %.12g row format renders every float as _fmt does."""
+    for x, text in ((-math.inf, "-inf"), (math.inf, "inf"), (math.nan, "nan")):
+        assert _fmt(x) == "%.12g" % x == text
+    assert _round_trip(-math.inf) == "-inf"
+    assert _round_trip(math.inf) == "inf"
 
 
 def test_cli_imports_no_underscored_name():
