@@ -6,11 +6,11 @@ Conventions used throughout the package:
 * vacuum-normalized units: the vacuum covariance matrix is the identity,
   so a state is physical iff every symplectic eigenvalue is >= 1
 * the beam splitter follows the phase-free convention
-  ``a_i -> a_i cos(t) + a_j sin(t)``, ``a_j -> a_i sin(t) - a_j cos(t)``
+  ``a_i -> a_i cos(t) + a_j sin(t)``, ``a_j -> a_i sin(t) - a_j cos(t)``; the
+  N-splitter is one N x N Helmert matrix on x and p alike, built per quadrature
 
-This is the package's numpy layer: it is imported only by routes that build
-or read a covariance matrix.  ``ResourceSpec`` is defined in the pure-Python
-``structured`` module and re-exported here.
+This is the package's numpy layer, imported only by routes that build or read
+a covariance matrix; ``ResourceSpec`` (pure-Python ``structured``) is re-exported.
 """
 
 from __future__ import annotations
@@ -145,10 +145,7 @@ def beam_splitter(theta: float, i: int, j: int, n_modes: int) -> SymplecticTrans
     S = np.eye(2 * n_modes)
     for q in (0, 1):  # same action on x and p (phase-free)
         a, b = 2 * i + q, 2 * j + q
-        S[a, a] = c
-        S[a, b] = s
-        S[b, a] = s
-        S[b, b] = -c
+        S[a, a], S[a, b], S[b, a], S[b, b] = c, s, s, -c
     return SymplecticTransform(S)
 
 
@@ -163,14 +160,10 @@ def squeezer(r: float, mode: int, n_modes: int) -> SymplecticTransform:
 
 
 @lru_cache(maxsize=None)
-def n_splitter(N: int) -> SymplecticTransform:
-    """Balanced N-splitter distributing mode 0 evenly over all N outputs.
-
-    The cascade B_{N-1,N}(pi/4) ... B_{1,2}(arccos 1/sqrt(N)) (1-based labels,
-    rightmost first) in closed form O (x) I_2.  O is a Helmert matrix: column 0
-    is 1/sqrt(N); column j >= 1 is sqrt(m/(m+1)) in row j - 1 and
-    -1/sqrt(m(m+1)) in rows j..N-1, with m = N - j.
-    """
+def _helmert(N: int) -> np.ndarray:
+    """Read-only N x N Helmert matrix O, the N-splitter's action on x and on p alike:
+    column 0 is 1/sqrt(N); column j >= 1 is sqrt(m/(m+1)) in row j - 1 and
+    -1/sqrt(m(m+1)) in rows j..N-1, with m = N - j."""
     if N < 2:
         raise ValueError(f"N-splitter needs N >= 2, got {N}")
     j = np.arange(1, N)
@@ -178,7 +171,15 @@ def n_splitter(N: int) -> SymplecticTransform:
     column = np.r_[1.0 / math.sqrt(N), -1.0 / np.sqrt(m * (m + 1.0))]
     O = np.tril(np.broadcast_to(column, (N, N)))  # column value on and below the diagonal
     O[j - 1, j] = np.sqrt(m / (m + 1.0))
-    return SymplecticTransform(np.kron(O, np.eye(2)))
+    return _freeze(O)
+
+
+@lru_cache(maxsize=None)
+def n_splitter(N: int) -> SymplecticTransform:
+    """Balanced N-splitter distributing mode 0 evenly over all N outputs: the cascade
+    B_{N-1,N}(pi/4) ... B_{1,2}(arccos 1/sqrt(N)) (1-based labels, rightmost first)
+    in closed form O (x) I_2; only callers that ask for the transform pay its check."""
+    return SymplecticTransform(np.kron(_helmert(N), np.eye(2)))
 
 
 def apply(S: SymplecticTransform, sigma: CovarianceMatrix) -> CovarianceMatrix:
@@ -204,11 +205,15 @@ def block_diag_cm(*cms: CovarianceMatrix) -> CovarianceMatrix:
 
 
 def build_resource(spec: ResourceSpec) -> CovarianceMatrix:
-    """N-mode symmetric resource: N-splitter on one momentum-squeezed mode
-    (n1, r1) and N-1 position-squeezed modes (n2, r2)."""
-    inputs = [squeezed_thermal_cm(spec.n1, spec.r1, "momentum")]
-    inputs += [squeezed_thermal_cm(spec.n2, spec.r2, "position")] * (spec.N - 1)
-    return apply(n_splitter(spec.N), block_diag_cm(*inputs))
+    """N-mode symmetric resource: N-splitter on one momentum-squeezed mode (n1, r1)
+    and N-1 position-squeezed modes (n2, r2).  Each quadrature block is O diag(v) O^T
+    (O from ``_helmert``, v from ``spec.variances``), the x-p blocks are 0; validated once."""
+    v1x, v2x, v1p, v2p = spec.variances
+    m = np.zeros((2 * spec.N, 2 * spec.N))
+    for q, (v1, v2) in enumerate(((v1x, v2x), (v1p, v2p))):
+        v = np.array([v1] + [v2] * (spec.N - 1))
+        m[q::2, q::2] = (_helmert(spec.N) * v) @ _helmert(spec.N).T
+    return CovarianceMatrix(0.5 * (m + m.T))
 
 
 def symplectic_eigenvalues(sigma) -> np.ndarray:

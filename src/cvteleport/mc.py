@@ -4,9 +4,9 @@ Samples the Heisenberg-picture construction directly: per-mode vacuum
 quadratures are drawn as unit-variance Gaussians, scaled by the squeezed
 thermal factors, pushed through the N-splitter, and combined into x_rel and
 p_tot.  Only the input modes a form weights beyond rounding are drawn: for the
-(0, 1) pair at moderate squeezing, 5 normals per sample instead of 2N.  Nothing
-here touches the covariance-matrix code paths beyond reusing the N-splitter
-matrix, so agreement is a genuine check.
+(0, 1) pair at moderate squeezing, 5 normals per sample instead of 2N.  Only the
+N-splitter's Helmert matrix O is shared with the covariance-matrix code, never a
+CM or the checked 2N x 2N transform, so agreement is a genuine check.
 
 Reproducibility: SFC64 seeded with the SeedSequence of (seed, shard) drives
 each shard independently, and the shards are merged in shard order, so
@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .gaussian import ResourceSpec, n_splitter
+from .gaussian import ResourceSpec, _helmert
 from .teleport import ProtocolParams, _checked_gain, fidelity_from_variances
 
 _CHUNK = 1 << 16
@@ -79,6 +79,16 @@ def _kept(w: np.ndarray, s: np.ndarray) -> np.ndarray:
     return np.flatnonzero(ws > 1e-15 * ws.max())
 
 
+def _scaled_dot(z: np.ndarray, s: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``np.multiply(z, s) @ w`` bit for bit, scaling z in place; up to 4 columns one
+    at a time (a broadcast over short rows is slow), and one column without a matmul."""
+    if len(s) > 4:
+        return np.multiply(z, s, out=z) @ w
+    for j, scale in enumerate(s):
+        z[:, j] *= scale
+    return z[:, 0] * w[0] if len(w) == 1 else z @ w
+
+
 def _shard_sums(spec: ResourceSpec, cx: np.ndarray, cp: np.ndarray, samples: int, seed: int,
                 forms: Callable[[np.ndarray, np.ndarray], tuple]) -> tuple[list, list]:
     """Shard sizes and, per shard, the sum and the sum of squares of each
@@ -88,8 +98,8 @@ def _shard_sums(spec: ResourceSpec, cx: np.ndarray, cp: np.ndarray, samples: int
     that overlap because numpy releases the GIL while it draws and multiplies.
     """
     from concurrent.futures import ThreadPoolExecutor
-    O = n_splitter(spec.N).entries[0::2, 0::2]  # x-sector orthogonal matrix
-    wx, wp = O.T @ cx, O.T @ cp  # the forms pulled back onto the input modes
+    # forms pulled back onto the input modes: O^T c in row order, the rounding TestPinnedDraws pins
+    wx, wp = ((_helmert(spec.N) * c[:, None]).sum(axis=0) for c in (cx, cp))
     sx, sp = _input_scales(spec)
     kx, kp = _kept(wx, sx), _kept(wp, sp)
     wx, sx, wp, sp = wx[kx], sx[kx], wp[kp], sp[kp]
@@ -103,8 +113,8 @@ def _shard_sums(spec: ResourceSpec, cx: np.ndarray, cp: np.ndarray, samples: int
         for done in range(0, count, _CHUNK):
             m = min(_CHUNK, count - done)
             zx, zp = z[:m * len(kx)].reshape(m, -1), z[:m * len(kp)].reshape(m, -1)
-            xr = np.multiply(rng.standard_normal(out=zx), sx, out=zx) @ wx
-            pt = np.multiply(rng.standard_normal(out=zp), sp, out=zp) @ wp
+            xr = _scaled_dot(rng.standard_normal(out=zx), sx, wx)
+            pt = _scaled_dot(rng.standard_normal(out=zp), sp, wp)
             chunk = [t for v in forms(xr, pt) for t in (v.sum(), (v * v).sum())]
             total = total + np.array(chunk)
         return total.tolist()

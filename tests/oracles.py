@@ -46,3 +46,21 @@ def symplectic_min_mp(m, dps=80):
     L = mp.cholesky(mp.matrix(m.tolist()))
     K = L.T * mp.matrix(omega(n).tolist()) * L
     return float(mp.sqrt(min(mp.eigsy(K.T * K, eigvals_only=True))))
+
+
+def cascade_resource(spec):
+    """The symmetric resource as the 2N x 2N N-splitter transform S applied to the
+    product of its input states: the symmetrized S sigma_in S^T that
+    ``apply(n_splitter(N), block_diag_cm(...))`` validates, returned unvalidated.
+
+    The inputs are diag(v_x, v_p) from ``spec.variances``, as in ``build_resource``,
+    so the two differ only in how the splitter is applied.
+    """
+    from cvteleport.gaussian import CovarianceMatrix, block_diag_cm, n_splitter
+
+    v1x, v2x, v1p, v2p = spec.variances
+    inputs = [CovarianceMatrix(np.diag([v1x, v1p]))]
+    inputs += [CovarianceMatrix(np.diag([v2x, v2p]))] * (spec.N - 1)
+    S = n_splitter(spec.N).entries
+    out = S @ block_diag_cm(*inputs).entries @ S.T
+    return 0.5 * (out + out.T)

@@ -317,6 +317,18 @@ class TestSweepCommand:
         assert run(capsys, "sweep", *argv) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("output", ["csv", "json"])
+    def test_negative_rbar_min_rejected_before_the_width_overflows(self, capsys, output):
+        # 1.7e308 - (-1e308) overflows to inf, which made the first rbar -1e308 + 0 * inf = nan
+        argv = ("--rbar-min=-1e308", "--rbar-max", "1.7e308", "--steps", "2", "--N-list", "3")
+        assert run(capsys, "sweep", *argv, "--output", output) == (
+            2, "", "error: average squeezing rbar must be >= 0\n")
+
+    @pytest.mark.parametrize("output", ["csv", "json"])
+    def test_negative_rbar_min_output_unchanged(self, capsys, output):
+        assert run(capsys, "sweep", "--rbar-min=-1", "--output", output) == (
+            2, "", "error: average squeezing rbar must be >= 0\n")
+
+    @pytest.mark.parametrize("output", ["csv", "json"])
     def test_one_class_per_row(self, capsys, monkeypatch, output):
         """Every row validates its own (N, n1, n2, rbar), N-major: a sweep of
         R rows builds R classes, never one shared per sweep."""
@@ -370,6 +382,21 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", "--samples", "100000")
         assert code == 0
         assert "PASS" in out
+
+    def test_validations_per_request(self, capsys, monkeypatch):
+        """Counts, not clocks: one CovarianceMatrix validation per built resource
+        (240 in suite 1, 18 in suite 3) and one per localized state (18)."""
+        validations = []
+        validate = cv.gaussian.CovarianceMatrix.__post_init__
+
+        def counting(self):
+            validations.append(len(self.entries))
+            validate(self)
+
+        monkeypatch.setattr(cv.gaussian.CovarianceMatrix, "__post_init__", counting)
+        code, _, _ = run(capsys, "verify", "--samples", "1000000", "--seed", "42")
+        assert code == 0
+        assert len(validations) == 276
 
     def test_injected_fault_fails(self, capsys):
         code, out, _ = run(capsys, "verify", "--samples", "100000", "--inject-fault")

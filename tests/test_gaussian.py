@@ -1,13 +1,14 @@
 import math
 import time
 import warnings
+from itertools import product
 
 import numpy as np
 import pytest
 
 import cvteleport as cv
 from cvteleport.gaussian import omega
-from oracles import symplectic_min_mp
+from oracles import cascade_resource, symplectic_min_mp
 
 
 def random_symplectic(n_modes, rng):
@@ -202,6 +203,69 @@ class TestBuildResource:
                 ref = spec
             else:
                 assert np.max(np.abs(spec - ref)) < 1e-9
+
+    @pytest.mark.parametrize("N", [2, 3, 4, 8, 20, 50, 200])
+    def test_entries_match_the_cascade(self, monkeypatch, N):
+        for (n1, n2), rbar in product(((1.0, 1.0), (1.5, 1.2), (2.0, 1.0)), (0.0, 0.5, 2.0, 4.0)):
+            for d in (-rbar / 2, 0.0, cv.d_N_opt(N, n1, n2, rbar)):
+                spec = cv.ResourceSpec(N, n1, n2, rbar, d, constrain_bias=False)
+                want = cascade_resource(spec)
+                # the entries as built: near rbar 4, rounding decides whether they validate
+                with monkeypatch.context() as m:
+                    m.setattr(cv.gaussian.CovarianceMatrix, "__post_init__", lambda self: None)
+                    got = cv.build_resource(spec).entries
+                bound = 8 * np.finfo(float).eps * np.max(np.abs(want))
+                assert np.max(np.abs(got - want)) <= bound, (n1, n2, rbar, d)
+                assert not got[0::2, 1::2].any()  # no x-p terms
+
+    @pytest.mark.parametrize("N", [2, 3, 8, 50])
+    def test_accepts_and_rejects_as_the_cascade(self, N):
+        """On the pure d = 0 resource from rbar 3 to 12, where rounding starts to
+        decide physicality a little above rbar 4, both routes agree point by point."""
+        def accepts(build):
+            try:
+                build()
+            except ValueError:
+                return False
+            return True
+
+        decisions = []
+        for i in range(181):
+            spec = cv.ResourceSpec(N, 1.0, 1.0, 3.0 + 0.05 * i, 0.0)
+            decisions.append((accepts(lambda: cv.build_resource(spec)),
+                              accepts(lambda: cv.CovarianceMatrix(cascade_resource(spec)))))
+        assert [a for a, _ in decisions] == [b for _, b in decisions]
+        assert decisions[0][0] and not all(a for a, _ in decisions)  # both outcomes occur
+
+
+class TestValidationCounts:
+    """Counts, not clocks: the built resource is validated once, and neither it
+    nor the sampler forms or checks the 2N x 2N splitter transform."""
+
+    @pytest.mark.parametrize("N", [2, 3, 8, 50])
+    def test_one_validation_per_build(self, monkeypatch, N):
+        validations = []
+        validate = cv.gaussian.CovarianceMatrix.__post_init__
+
+        def counting(self):
+            validations.append(len(self.entries))
+            validate(self)
+
+        monkeypatch.setattr(cv.gaussian.CovarianceMatrix, "__post_init__", counting)
+        cv.build_resource(cv.ResourceSpec(N, 1.3, 1.1, 0.6, 0.1))
+        assert validations == [2 * N]
+
+    def test_no_symplectic_transform(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("a SymplecticTransform was constructed")
+
+        monkeypatch.setattr(cv.gaussian.SymplecticTransform, "__post_init__", refuse)
+        cv.gaussian.n_splitter.cache_clear()
+        cv.gaussian._helmert.cache_clear()
+        spec = cv.ResourceSpec(5, 1.2, 1.0, 0.6, 0.1)
+        cv.build_resource(spec)
+        cv.simulate(cv.McConfig(samples=1600, seed=0, spec=spec))
+        cv.variance_of_form(np.ones(10), spec, 1600, 0)
 
 
 class TestSymplecticEigenvalues:

@@ -120,6 +120,20 @@ class TestPinnedDraws:
         assert math.isnan(est.gain)
 
 
+class TestScaledDot:
+    """The shard kernel scales the drawn block in place; its result must be
+    ``np.multiply(z, s) @ w`` bit for bit, on every branch (1, <= 4, > 4 columns)."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 8])
+    def test_bitwise_equal_to_the_broadcast(self, k):
+        rng = np.random.Generator(np.random.SFC64([7, k]))
+        z = rng.standard_normal((62_500, k))
+        s, w = rng.uniform(0.05, 20.0, k), rng.normal(size=k)
+        want = np.multiply(z, s) @ w
+        got = mc._scaled_dot(z.copy(), s, w)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 class TestVarianceOfForm:
     def test_zero_coefficients(self):
         spec = cv.ResourceSpec(2, 1, 1, 0.5, 0.0)
