@@ -14,7 +14,6 @@ import math
 import numbers
 import sys
 from dataclasses import asdict, replace
-from itertools import product
 
 from . import __version__
 from .entanglement import entanglement_of_teleportation, entanglement_report, eof_symmetric
@@ -204,33 +203,41 @@ def _verify_suites(seed: int, samples: int, inject_fault: bool) -> list[tuple[st
 
     # closed-form variances vs covariance-matrix pipeline
     dev = 0.0
-    for N, rbar, n1, n2, dfrac in product((2, 3, 4, 8, 20), (0.0, 0.5, 1.0, 2.0), (1.0, 2.0),
-                                          (1.0, 2.0), (-0.5, 0.0, 0.5)):
-        spec = ResourceSpec(N, n1, n2, rbar, dfrac * rbar)
-        sigma = build_resource(spec)
-        for g in (0.0, 1.0):
-            vx, vp = teleported_variances(sigma, 0, 1, g)
-            cx, cp = network_variances(spec.N, spec.variances, g)
-            dev = max(dev, abs(vx - cx), abs(vp - cp))
+    for N in (2, 3, 4, 8, 20):
+        for rbar in (0.0, 0.5, 1.0, 2.0):
+            for n1 in (1.0, 2.0):
+                for n2 in (1.0, 2.0):
+                    for dfrac in (-0.5, 0.0, 0.5):
+                        spec = ResourceSpec(N, n1, n2, rbar, dfrac * rbar)
+                        sigma = build_resource(spec)
+                        for g in (0.0, 1.0):
+                            vx, vp = teleported_variances(sigma, 0, 1, g)
+                            cx, cp = network_variances(spec.N, spec.variances, g)
+                            dev = max(dev, abs(vx - cx), abs(vp - cp))
     if inject_fault:
         dev += 1.0
     suites.append(("closed-form vs pipeline variances", dev, 1e-10))
 
     # closed-form optimum vs numerical oracle
     dev = 0.0
-    for N, rbar, (n1, n2) in product((2, 3, 8, 50), (0.25, 1.0, 2.0), ((1.0, 1.0), (2.0, 1.5))):
-        num = numerical_optimum(N, n1, n2, rbar)
-        dev = max(dev, abs(num.d_opt - d_N_opt(N, n1, n2, rbar)))
-        if N > 2:
-            dev = max(dev, abs(num.g_opt - g_N_opt(N, n1, n2, rbar)))
+    for N in (2, 3, 8, 50):
+        for rbar in (0.25, 1.0, 2.0):
+            for n1, n2 in ((1.0, 1.0), (2.0, 1.5)):
+                num = numerical_optimum(N, n1, n2, rbar)
+                dev = max(dev, abs(num.d_opt - d_N_opt(N, n1, n2, rbar)))
+                if N > 2:
+                    dev = max(dev, abs(num.g_opt - g_N_opt(N, n1, n2, rbar)))
     suites.append(("numerical optimizer vs closed forms", dev, 1e-8))
 
     # dense homodyne localization vs eta_N
     dev = 0.0
-    for N, rbar, (n1, n2) in product((3, 4, 8), (0.25, 0.5, 1.0), ((1.0, 1.0), (1.5, 1.0))):
-        spec = ResourceSpec(N, n1, n2, rbar, d_N_opt(N, n1, n2, rbar), constrain_bias=False)
-        eta_loc = eta_two_mode(localize(build_resource(spec)).cm)
-        dev = max(dev, abs(eta_loc - eta_generalized(spec)))
+    for N in (3, 4, 8):
+        for rbar in (0.25, 0.5, 1.0):
+            for n1, n2 in ((1.0, 1.0), (1.5, 1.0)):
+                spec = ResourceSpec(N, n1, n2, rbar, d_N_opt(N, n1, n2, rbar),
+                                    constrain_bias=False)
+                eta_loc = eta_two_mode(localize(build_resource(spec)).cm)
+                dev = max(dev, abs(eta_loc - eta_generalized(spec)))
     suites.append(("homodyne localization vs eta_N", dev, 1e-9))
 
     # Monte Carlo vs analytic, in standard-error units

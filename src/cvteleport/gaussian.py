@@ -9,8 +9,9 @@ Conventions used throughout the package:
   ``a_i -> a_i cos(t) + a_j sin(t)``, ``a_j -> a_i sin(t) - a_j cos(t)``; the
   N-splitter is one N x N Helmert matrix on x and p alike, built per quadrature
 
-This is the package's numpy layer, imported only by routes that build or read
-a covariance matrix; ``ResourceSpec`` (pure-Python ``structured``) is re-exported.
+This is the package's numpy layer: it is imported only by routes that build
+or read a covariance matrix.  ``ResourceSpec`` is defined in the pure-Python
+``structured`` module and re-exported here.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .structured import ResourceSpec
+from .structured import ResourceSpec, input_variances
 
 SYMMETRY_TOL = 1e-12
 PHYSICALITY_TOL = 1e-9
@@ -124,10 +125,17 @@ def squeezed_thermal_cm(n: float, r: float, axis: str = "momentum") -> Covarianc
         raise ValueError(f"thermal noise factor must be >= 1, got {n}")
     if axis not in ("momentum", "position"):
         raise ValueError(f"axis must be 'momentum' or 'position', got {axis!r}")
-    s = np.exp(2.0 * r)
-    if axis == "momentum":
-        return CovarianceMatrix(np.diag([n * s, n / s]))
-    return CovarianceMatrix(np.diag([n / s, n * s]))
+    v1x, v2x, v1p, v2p = _input_variances(n, n, r, r)  # the resource's inputs, bit for bit
+    return CovarianceMatrix(np.diag([v1x, v1p] if axis == "momentum" else [v2x, v2p]))
+
+
+def _input_variances(n1: float, n2: float, r1: float, r2: float) -> tuple[float, ...]:
+    """``structured.input_variances``; an e^{2r} past the float range is reported as
+    the non-finite entries it stands for."""
+    try:
+        return input_variances(n1, n2, r1, r2)
+    except ArithmeticError:
+        raise ValueError("covariance matrix has non-finite entries") from None
 
 
 def beam_splitter(theta: float, i: int, j: int, n_modes: int) -> SymplecticTransform:
@@ -145,7 +153,10 @@ def beam_splitter(theta: float, i: int, j: int, n_modes: int) -> SymplecticTrans
     S = np.eye(2 * n_modes)
     for q in (0, 1):  # same action on x and p (phase-free)
         a, b = 2 * i + q, 2 * j + q
-        S[a, a], S[a, b], S[b, a], S[b, b] = c, s, s, -c
+        S[a, a] = c
+        S[a, b] = s
+        S[b, a] = s
+        S[b, b] = -c
     return SymplecticTransform(S)
 
 
@@ -208,7 +219,7 @@ def build_resource(spec: ResourceSpec) -> CovarianceMatrix:
     """N-mode symmetric resource: N-splitter on one momentum-squeezed mode (n1, r1)
     and N-1 position-squeezed modes (n2, r2).  Each quadrature block is O diag(v) O^T
     (O from ``_helmert``, v from ``spec.variances``), the x-p blocks are 0; validated once."""
-    v1x, v2x, v1p, v2p = spec.variances
+    v1x, v2x, v1p, v2p = _input_variances(spec.n1, spec.n2, spec.r1, spec.r2)
     m = np.zeros((2 * spec.N, 2 * spec.N))
     for q, (v1, v2) in enumerate(((v1x, v2x), (v1p, v2p))):
         v = np.array([v1] + [v2] * (spec.N - 1))

@@ -80,10 +80,8 @@ def _kept(w: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 
 def _scaled_dot(z: np.ndarray, s: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``np.multiply(z, s) @ w`` bit for bit, scaling z in place; up to 4 columns one
-    at a time (a broadcast over short rows is slow), and one column without a matmul."""
-    if len(s) > 4:
-        return np.multiply(z, s, out=z) @ w
+    """``np.multiply(z, s) @ w`` bit for bit, scaling z in place one column at a time
+    (a broadcast over rows of a few kept modes is slow), and one column without a matmul."""
     for j, scale in enumerate(s):
         z[:, j] *= scale
     return z[:, 0] * w[0] if len(w) == 1 else z @ w

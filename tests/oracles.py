@@ -49,18 +49,15 @@ def symplectic_min_mp(m, dps=80):
 
 
 def cascade_resource(spec):
-    """The symmetric resource as the 2N x 2N N-splitter transform S applied to the
-    product of its input states: the symmetrized S sigma_in S^T that
-    ``apply(n_splitter(N), block_diag_cm(...))`` validates, returned unvalidated.
-
-    The inputs are diag(v_x, v_p) from ``spec.variances``, as in ``build_resource``,
-    so the two differ only in how the splitter is applied.
+    """The 2N x 2N route to the symmetric resource: ``apply(n_splitter(N),
+    block_diag_cm(...))`` on ``squeezed_thermal_cm`` inputs, one momentum-squeezed
+    (n1, r1) and N - 1 position-squeezed (n2, r2) modes.  Returns the symmetrized
+    S sigma_in S^T that ``apply`` would validate, unvalidated.
     """
-    from cvteleport.gaussian import CovarianceMatrix, block_diag_cm, n_splitter
+    from cvteleport.gaussian import block_diag_cm, n_splitter, squeezed_thermal_cm
 
-    v1x, v2x, v1p, v2p = spec.variances
-    inputs = [CovarianceMatrix(np.diag([v1x, v1p]))]
-    inputs += [CovarianceMatrix(np.diag([v2x, v2p]))] * (spec.N - 1)
+    inputs = [squeezed_thermal_cm(spec.n1, spec.r1, "momentum")]
+    inputs += [squeezed_thermal_cm(spec.n2, spec.r2, "position")] * (spec.N - 1)
     S = n_splitter(spec.N).entries
     out = S @ block_diag_cm(*inputs).entries @ S.T
     return 0.5 * (out + out.T)

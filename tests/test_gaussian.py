@@ -8,6 +8,7 @@ import pytest
 
 import cvteleport as cv
 from cvteleport.gaussian import omega
+from cvteleport.structured import input_variances
 from oracles import cascade_resource, symplectic_min_mp
 
 
@@ -60,6 +61,21 @@ class TestSqueezedThermal:
     def test_unphysical_noise(self):
         with pytest.raises(ValueError):
             cv.squeezed_thermal_cm(0.5, 0.1)
+
+    @pytest.mark.parametrize("r", [7.3, 10.7, 11.0, 0.123, -2.5])
+    def test_entries_are_the_resource_inputs(self, r):
+        """Bit for bit the closed forms' variances: at these r, numpy's exp and
+        math.exp can differ in the last bit, which decides some states' physicality."""
+        v1x, v2x, v1p, v2p = input_variances(1.3, 1.1, r, r)
+        assert np.diag(cv.squeezed_thermal_cm(1.3, r, "momentum").entries).tolist() == [v1x, v1p]
+        assert np.diag(cv.squeezed_thermal_cm(1.1, r, "position").entries).tolist() == [v2x, v2p]
+
+    @pytest.mark.parametrize("r", [355.0, -355.0, 1e6])
+    def test_beyond_the_float_range_is_a_value_error(self, r):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^covariance matrix has non-finite entries$"):
+                cv.squeezed_thermal_cm(1.0, r)
 
 
 class TestBeamSplitter:
@@ -236,6 +252,16 @@ class TestBuildResource:
                               accepts(lambda: cv.CovarianceMatrix(cascade_resource(spec)))))
         assert [a for a, _ in decisions] == [b for _, b in decisions]
         assert decisions[0][0] and not all(a for a, _ in decisions)  # both outcomes occur
+
+    @pytest.mark.parametrize("rbar, d", [(355.0, 0.0), (200.0, 160.0), (200.0, -160.0)])
+    def test_beyond_the_float_range_is_a_value_error(self, rbar, d):
+        """e^{2 r1} or e^{2 r2} past the float range: the error the non-finite
+        entries give, as for every other CovarianceMatrix."""
+        spec = cv.ResourceSpec(4, 1.0, 1.0, rbar, d, constrain_bias=False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^covariance matrix has non-finite entries$"):
+                cv.build_resource(spec)
 
 
 class TestValidationCounts:

@@ -122,7 +122,7 @@ class TestPinnedDraws:
 
 class TestScaledDot:
     """The shard kernel scales the drawn block in place; its result must be
-    ``np.multiply(z, s) @ w`` bit for bit, on every branch (1, <= 4, > 4 columns)."""
+    ``np.multiply(z, s) @ w`` bit for bit, for one kept mode and for several."""
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 8])
     def test_bitwise_equal_to_the_broadcast(self, k):
