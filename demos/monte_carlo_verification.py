@@ -2,10 +2,9 @@
 Monte Carlo check of the analytic fidelity
 ==========================================
 
-Samples the input quadratures directly and estimates the teleportation
-fidelity from the empirical variances. The estimate is reproducible bit
-for bit at a fixed seed and agrees with the closed form within the
-reported standard error.
+Estimates the teleportation fidelity from sampled quadrature variances.
+The estimate is reproducible bit for bit at a fixed seed and agrees with
+the closed form within the reported standard error.
 """
 
 import cvteleport as cv
@@ -19,11 +18,15 @@ est = cv.simulate(cv.McConfig(samples=1_000_000, seed=42, spec=spec))
 print("monte carlo:      ", est.fidelity_mean, "+/-", est.std_error)
 print("pull (sigmas):    ", abs(est.fidelity_mean - analytic) / est.std_error)
 
-# Same seed, same answer, down to the last bit: the samples are split over
-# 16 shards, each drawing from its own SFC64 generator seeded with
-# (seed, shard), and only the input modes that x_rel and p_tot weight are
-# drawn.  The standard error is the exact Gaussian one, 2 v^2 / (n - 1) per
-# variance carried through F, so a 3-sigma check fails 0.27% of correct runs.
+# Same seed, same answer, down to the last bit.  x_rel and p_tot are linear in
+# Gaussian inputs, so each of 16 shards of n samples enters only through its
+# sum, N(0, n sigma^2), and centred sum of squares, sigma^2 chi^2(n - 1): one
+# SFC64 generator seeded with the seed draws exactly those, 64 variates at any
+# n.  Their distribution is fixed by sigma_x^2 and sigma_p^2, which verify
+# also checks exactly against the closed form.  The standard error is the
+# exact Gaussian one, 2 v^2 / (n - 1) per variance carried through F, so a
+# 3-sigma check fails 0.27% of correct points; verify's three points share
+# one draw, and about 0.3% of its requests fail.
 again = cv.simulate(cv.McConfig(samples=1_000_000, seed=42, spec=spec))
 print("reproducible:", est == again)
 

@@ -193,27 +193,28 @@ def cmd_sweep(args) -> int:
 def _verify_suites(seed: int, samples: int, inject_fault: bool) -> list[tuple[str, float, float]]:
     """Each suite returns (name, max deviation, tolerance); the only route that
     loads numpy, through the dense layer and the Monte Carlo sampler."""
+    import numpy as np
+
     from .entanglement import eta_generalized, eta_two_mode
     from .gaussian import build_resource
     from .localize import localize
-    from .mc import McConfig, simulate
+    from .mc import McConfig, form_variances, pair_forms, simulate
     from .teleport import teleported_variances
 
     suites = []
 
-    # closed-form variances vs covariance-matrix pipeline
+    # closed-form variances vs covariance-matrix pipeline, on a grid of (n1, n2, rbar, d)
+    grid = [(n1, n2, rbar, dfrac * rbar) for rbar in (0.0, 0.5, 1.0, 2.0)
+            for n1 in (1.0, 2.0) for n2 in (1.0, 2.0) for dfrac in (-0.5, 0.0, 0.5)]
     dev = 0.0
     for N in (2, 3, 4, 8, 20):
-        for rbar in (0.0, 0.5, 1.0, 2.0):
-            for n1 in (1.0, 2.0):
-                for n2 in (1.0, 2.0):
-                    for dfrac in (-0.5, 0.0, 0.5):
-                        spec = ResourceSpec(N, n1, n2, rbar, dfrac * rbar)
-                        sigma = build_resource(spec)
-                        for g in (0.0, 1.0):
-                            vx, vp = teleported_variances(sigma, 0, 1, g)
-                            cx, cp = network_variances(spec.N, spec.variances, g)
-                            dev = max(dev, abs(vx - cx), abs(vp - cp))
+        for point in grid:
+            spec = ResourceSpec(N, *point)
+            sigma = build_resource(spec)
+            for g in (0.0, 1.0):
+                vx, vp = teleported_variances(sigma, 0, 1, g)
+                cx, cp = network_variances(spec.N, spec.variances, g)
+                dev = max(dev, abs(vx - cx), abs(vp - cp))
     if inject_fault:
         dev += 1.0
     suites.append(("closed-form vs pipeline variances", dev, 1e-10))
@@ -249,6 +250,15 @@ def _verify_suites(seed: int, samples: int, inject_fault: bool) -> list[tuple[st
         analytic = optimal_fidelity(N, 1.0, 1.0, rbar).fidelity_opt
         dev = max(dev, abs(est.fidelity_mean - analytic) / est.std_error)
     suites.append(("Monte Carlo vs analytic (sigmas)", dev, 3.0))
+
+    # the sampler's variances vs closed form, suite 1's grid to N = 200 (O takes 8 N^2 bytes)
+    dev = 0.0
+    for N in (2, 3, 4, 8, 20, 50, 200):
+        variances = np.array([ResourceSpec(N, *point).variances for point in grid]).T
+        for g in (0.0, 1.0):
+            got = form_variances(N, variances, *pair_forms(N, 0, 1, g))
+            dev = max(dev, np.abs(np.divide(got, network_variances(N, variances, g)) - 1).max())
+    suites.append(("Monte Carlo pull-back vs closed form (relative)", float(dev), 1e-12))
     return suites
 
 

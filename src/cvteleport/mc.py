@@ -1,36 +1,32 @@
 """Monte Carlo falsifier for the analytic fidelity pipeline.
 
-Samples the Heisenberg-picture construction directly: per-mode vacuum
-quadratures are drawn as unit-variance Gaussians, scaled by the squeezed
-thermal factors, pushed through the N-splitter, and combined into x_rel and
-p_tot.  Only the input modes a form weights beyond rounding are drawn: for the
-(0, 1) pair at moderate squeezing, 5 normals per sample instead of 2N.  Only the
-N-splitter's Helmert matrix O is shared with the covariance-matrix code, never a
-CM or the checked 2N x 2N transform, so agreement is a genuine check.
+Every form sampled is linear in the independent Gaussian input quadratures, so n
+samples of it enter each estimate only through their sum, N(0, n sigma^2), and their
+independent centred sum of squares, sigma^2 chi^2(n-1) (Cochran's theorem), with
+sigma^2 from ``form_variances``.  Each of 16 shards draws those two numbers per form
+from one SFC64 generator seeded with ``seed``: an estimate has exactly the
+distribution of n per-sample draws, at a cost independent of n and N.
 
-Reproducibility: SFC64 seeded with the SeedSequence of (seed, shard) drives
-each shard independently, and the shards are merged in shard order, so
-identical configs give identical bytes at any thread count.  Each sample
-variance v of these exact Gaussians has the plug-in standard error |v| sqrt(2/(n-1)).
+Every estimate's distribution is thus fixed by sigma_x^2 and sigma_p^2: the sampler
+sees no more than an exact check of them against ``network_variances`` (a ``verify``
+suite), plus its estimators, their standard errors and the 3-sigma gate end to end.
+It shares the Helmert matrix and the input variances with the dense code, never a CM.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-import os
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+from numpy.random import SFC64, Generator
 
 from .gaussian import ResourceSpec, _helmert
 from .teleport import ProtocolParams, _checked_gain, fidelity_from_variances
 
-_CHUNK = 1 << 16
 _SHARDS = 16
-_WORKERS = min(_SHARDS, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-               else os.cpu_count() or 1)
 
 
 def _check_draws(samples, seed) -> None:
@@ -64,61 +60,38 @@ class McEstimate:
     shard_chi2: float  # sum over shards of ((estimate_i - estimate) / SE_i)^2, ~chi2 with 15 dof
 
 
-def _input_scales(spec: ResourceSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Per-mode standard deviations of the squeezed thermal inputs."""
-    sx = np.full(spec.N, math.sqrt(spec.n2) * math.exp(-spec.r2))
-    sp = np.full(spec.N, math.sqrt(spec.n2) * math.exp(spec.r2))
-    sx[0] = math.sqrt(spec.n1) * math.exp(spec.r1)
-    sp[0] = math.sqrt(spec.n1) * math.exp(-spec.r1)
-    return sx, sp
+def pair_forms(N: int, sender: int, receiver: int, gain: float) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients of x_rel = x_s - x_r and p_tot = p_s + p_r + g sum_{k != s, r} p_k."""
+    c_x, c_p = np.zeros(N), np.full(N, gain)
+    c_x[sender], c_x[receiver] = 1.0, -1.0
+    c_p[sender] = c_p[receiver] = 1.0
+    return c_x, c_p
 
 
-def _kept(w: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """The input modes with |w_i s_i| above 1e-15 of the largest; the rest is rounding."""
-    ws = np.abs(w * s)
-    return np.flatnonzero(ws > 1e-15 * ws.max())
-
-
-def _scaled_dot(z: np.ndarray, s: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``np.multiply(z, s) @ w`` bit for bit, scaling z in place one column at a time
-    (a broadcast over rows of a few kept modes is slow), and one column without a matmul."""
-    for j, scale in enumerate(s):
-        z[:, j] *= scale
-    return z[:, 0] * w[0] if len(w) == 1 else z @ w
+def form_variances(N: int, variances: tuple, cx: np.ndarray, cp: np.ndarray) -> tuple:
+    """Variances sum_i (O^T c)_i^2 v_i of c_x . x and c_p . p on the output quadratures,
+    with O from ``_helmert`` and v from the input variances (v1x, v2x, v1p, v2p) of
+    mode 0 and of the other N - 1 modes, which may be arrays of resources."""
+    v1x, v2x, v1p, v2p = variances
+    wx2, wp2 = ((c @ _helmert(N)) ** 2 for c in (cx, cp))
+    return wx2[0] * v1x + wx2[1:].sum() * v2x, wp2[0] * v1p + wp2[1:].sum() * v2p
 
 
 def _shard_sums(spec: ResourceSpec, cx: np.ndarray, cp: np.ndarray, samples: int, seed: int,
-                forms: Callable[[np.ndarray, np.ndarray], tuple]) -> tuple[list, list]:
-    """Shard sizes and, per shard, the sum and the sum of squares of each
-    sample of ``forms(x @ cx, p @ cp)`` on the output quadratures x, p.  Shard i
-    draws from SFC64 seeded with (seed, i) the x, then the p normals of the
-    ``_kept`` input modes, up to _CHUNK samples at a time, on _WORKERS threads
-    that overlap because numpy releases the GIL while it draws and multiplies.
-    """
-    from concurrent.futures import ThreadPoolExecutor
-    # forms pulled back onto the input modes: O^T c in row order, the rounding TestPinnedDraws pins
-    wx, wp = ((_helmert(spec.N) * c[:, None]).sum(axis=0) for c in (cx, cp))
-    sx, sp = _input_scales(spec)
-    kx, kp = _kept(wx, sx), _kept(wp, sp)
-    wx, sx, wp, sp = wx[kx], sx[kx], wp[kp], sp[kp]
-    counts = [samples // _SHARDS] * _SHARDS
-    counts[-1] += samples - sum(counts)
-
-    def one_shard(shard: int, count: int) -> list:
-        rng = np.random.Generator(np.random.SFC64([seed, shard]))
-        z = np.empty(min(_CHUNK, count) * max(len(kx), len(kp)))  # viewed as (m, kx), then (m, kp)
-        total = 0.0
-        for done in range(0, count, _CHUNK):
-            m = min(_CHUNK, count - done)
-            zx, zp = z[:m * len(kx)].reshape(m, -1), z[:m * len(kp)].reshape(m, -1)
-            xr = _scaled_dot(rng.standard_normal(out=zx), sx, wx)
-            pt = _scaled_dot(rng.standard_normal(out=zp), sp, wp)
-            chunk = [t for v in forms(xr, pt) for t in (v.sum(), (v * v).sum())]
-            total = total + np.array(chunk)
-        return total.tolist()
-
-    with ThreadPoolExecutor(_WORKERS) as pool:
-        return counts, list(pool.map(one_shard, range(_SHARDS), counts))
+                combine: Callable[..., tuple]) -> tuple[list, list]:
+    """Shard sizes and, per shard, the sum and the sum of squares of n samples of each
+    form of ``combine(c_x . x, c_p . p)``, whose variances are ``combine(vx, vp)`` as x and
+    p are independent: per form, 16 normals scale to the sums and 16 chi^2(n-1) = 2
+    Gamma((n-1)/2) variates to the centred sums of squares (0 for a one-sample shard)."""
+    counts = np.full(_SHARDS, samples // _SHARDS)
+    counts[-1] += samples % _SHARDS
+    rng = Generator(SFC64(seed))
+    stats = []
+    for var in combine(*form_variances(spec.N, spec.variances, cx, cp)):
+        s1 = rng.standard_normal(_SHARDS) * np.sqrt(counts * var)
+        css = 2.0 * rng.standard_gamma((counts - 1) / 2.0) * var
+        stats += [s1, css + s1 * s1 / counts]
+    return counts.tolist(), np.transpose(stats).tolist()
 
 
 def _variance(n: int, s1: float, s2: float) -> tuple[float, float]:
@@ -137,7 +110,7 @@ def _estimate(stat: Callable[..., tuple], counts: list, sums: list) -> tuple:
 
 
 def simulate(config: McConfig) -> McEstimate:
-    """Estimate the teleportation fidelity by direct sampling.
+    """Estimate the teleportation fidelity from sampled quadrature variances.
 
     Variances are pooled over shards.  x_rel and p_tot are independent (the
     resource has no x-p terms), so the delta method on their Gaussian standard
@@ -146,11 +119,8 @@ def simulate(config: McConfig) -> McEstimate:
     """
     spec, params = config.spec, config.params
     gain = _checked_gain(spec, params)
-    c_x, c_p = np.zeros(spec.N), np.full(spec.N, gain)
-    c_x[params.sender], c_x[params.receiver] = 1.0, -1.0
-    c_p[params.sender] = c_p[params.receiver] = 1.0
-    counts, sums = _shard_sums(spec, c_x, c_p, config.samples, config.seed,
-                               lambda xr, pt: (xr, pt))
+    c_x, c_p = pair_forms(spec.N, params.sender, params.receiver, gain)
+    counts, sums = _shard_sums(spec, c_x, c_p, config.samples, config.seed, lambda x, p: (x, p))
 
     def fidelity(n, s1, s2, t1, t2) -> tuple[float, float, float, float]:
         vx, vp = max(_variance(n, s1, s2)[0], 0.0), max(_variance(n, t1, t2)[0], 0.0)
@@ -162,9 +132,8 @@ def simulate(config: McConfig) -> McEstimate:
     return McEstimate(fid, se, vx, vp, config.samples, gain, chi2)
 
 
-def variance_of_form(
-    coefficients: np.ndarray, spec: ResourceSpec, samples: int, seed: int
-) -> McEstimate:
+def variance_of_form(coefficients: np.ndarray, spec: ResourceSpec, samples: int,
+                     seed: int) -> McEstimate:
     """Sampled estimate of u^T sigma u for the built resource.
 
     ``coefficients`` has length 2N in interleaved (x1, p1, ...) order.  The
@@ -175,7 +144,6 @@ def variance_of_form(
     if c.shape != (2 * spec.N,):
         raise ValueError(f"expected {2 * spec.N} coefficients, got shape {c.shape}")
     _check_draws(samples, seed)
-    counts, sums = _shard_sums(spec, c[0::2], c[1::2], samples, seed,
-                               lambda xr, pt: (xr + pt,))
+    counts, sums = _shard_sums(spec, c[0::2], c[1::2], samples, seed, lambda x, p: (x + p,))
     v_hat, se, chi2 = _estimate(_variance, counts, sums)
     return McEstimate(float("nan"), se, v_hat, float("nan"), samples, float("nan"), chi2)

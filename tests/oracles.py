@@ -61,3 +61,43 @@ def cascade_resource(spec):
     S = n_splitter(spec.N).entries
     out = S @ block_diag_cm(*inputs).entries @ S.T
     return 0.5 * (out + out.T)
+
+
+def per_sample_shard_sums(spec, cx, cp, samples, seed, combine):
+    """The per-sample route to ``mc._shard_sums``.  Each of 16 shards draws from SFC64
+    seeded with (seed, shard) n samples of every input mode's x, then p quadrature, as
+    normals times the modes' standard deviations sqrt(n_i) e^{+-r_i}, pushes them through
+    the N-splitter, and sums every sample of each form of ``combine(c_x . x, c_p . p)``
+    and of its square.  All N modes are drawn, serially, in one block per shard."""
+    from cvteleport.gaussian import n_splitter
+
+    O = n_splitter(spec.N).entries[0::2, 0::2]
+    sx = np.r_[math.sqrt(spec.n1) * math.exp(spec.r1),
+               [math.sqrt(spec.n2) * math.exp(-spec.r2)] * (spec.N - 1)]
+    sp = np.r_[math.sqrt(spec.n1) * math.exp(-spec.r1),
+               [math.sqrt(spec.n2) * math.exp(spec.r2)] * (spec.N - 1)]
+    counts = [samples // 16] * 16
+    counts[-1] += samples % 16
+    sums = []
+    for shard, n in enumerate(counts):
+        rng = np.random.Generator(np.random.SFC64([seed, shard]))
+        x = (rng.standard_normal((n, spec.N)) * sx) @ O.T
+        p = (rng.standard_normal((n, spec.N)) * sp) @ O.T
+        sums.append([t for f in combine(x @ cx, p @ cp) for t in (f.sum(), (f * f).sum())])
+    return counts, sums
+
+
+def ks_two_sample(a, b):
+    """Two-sample Kolmogorov-Smirnov statistic D and its asymptotic p-value, with
+    the effective-size correction of Stephens (Numerical Recipes' ``kstwo``)."""
+    a, b = np.sort(a), np.sort(b)
+    both = np.concatenate([a, b])
+    d = np.abs(np.searchsorted(a, both, side="right") / len(a)
+               - np.searchsorted(b, both, side="right") / len(b)).max()
+    root = math.sqrt(len(a) * len(b) / (len(a) + len(b)))
+    lam = (root + 0.12 + 0.11 / root) * d
+    if lam < 0.2:  # p rounds to 1 here, and the alternating series converges slowly
+        return d, 1.0
+    k = np.arange(1, 101)
+    p = 2.0 * np.sum((-1.0) ** (k - 1) * np.exp(-2.0 * (k * lam) ** 2))
+    return d, float(min(max(p, 0.0), 1.0))

@@ -382,6 +382,7 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", "--samples", "100000")
         assert code == 0
         assert "PASS" in out
+        assert len(out.splitlines()) == 6  # five suites, then the verdict
 
     def test_validations_per_request(self, capsys, monkeypatch):
         """Counts, not clocks: one CovarianceMatrix validation per built resource
@@ -397,6 +398,19 @@ class TestVerifyCommand:
         code, _, _ = run(capsys, "verify", "--samples", "1000000", "--seed", "42")
         assert code == 0
         assert len(validations) == 276
+
+    def test_pull_back_suite_sees_a_p_variance_off_by_1e_9(self, capsys, monkeypatch):
+        """The exact check that the sampler's power reduces to trips at 1 + 1e-9,
+        which the Monte Carlo suite cannot see."""
+        form_variances = cv.mc.form_variances
+        monkeypatch.setattr(cv.mc, "form_variances", lambda *args: (
+            lambda vx, vp: (vx, vp * (1 + 1e-9)))(*form_variances(*args)))
+        code, out, _ = run(capsys, "verify", "--samples", "100000")
+        lines = out.splitlines()
+        assert code == 1
+        assert lines[3].startswith("Monte Carlo vs analytic") and lines[3].endswith(" ok")
+        assert lines[4].startswith("Monte Carlo pull-back") and lines[4].endswith(" FAIL")
+        assert lines[5:] == ["verify: FAIL"]
 
     def test_injected_fault_fails(self, capsys):
         code, out, _ = run(capsys, "verify", "--samples", "100000", "--inject-fault")

@@ -1,5 +1,4 @@
 import math
-import sys
 import time
 
 import numpy as np
@@ -7,6 +6,7 @@ import pytest
 
 import cvteleport as cv
 from cvteleport import mc
+from oracles import ks_two_sample, per_sample_shard_sums
 
 
 def optimal_spec(N, n1, n2, rbar):
@@ -77,24 +77,24 @@ class TestSimulate:
 
 
 class TestPinnedDraws:
-    """float.hex of every sampled estimate field: a change to the drawn normals,
-    their order, the kept modes, the chunking or the shard reductions shows up
-    here bit for bit."""
+    """float.hex of every sampled estimate field: a change to the drawn normals or
+    chi-squares, their order, the shard sizes or the shard reductions shows up here
+    bit for bit."""
 
     @pytest.mark.parametrize("spec,params,samples,seed,want", [
         (optimal_spec(2, 1, 1, 0.5), cv.ProtocolParams(), 50_000, 1,
-         ("0x1.76c891d30513fp-1", "0x1.cbfa6aa28aae7p-11",
-          "0x1.757e3fe9a4162p-1", "0x1.78538ed03ef39p-1", "0x1.a8c71ab064c86p+3")),
+         ("0x1.7639acb24067ap-1", "0x1.cd292759441d9p-11",
+          "0x1.79d7d860f9fecp-1", "0x1.78260d299bb61p-1", "0x1.10248c2c11af6p+4")),
         (optimal_spec(4, 1.5, 1.1, 1.0), cv.ProtocolParams(gain=0.7), 123_457, 9,
-         ("0x1.842556508af37p-1", "0x1.1512ffefded90p-11",
-          "0x1.ecb60688ee041p-2", "0x1.9c3b72f758c09p-1", "0x1.b3e2ed61b71b4p+3")),
+         ("0x1.838ee37188d3bp-1", "0x1.15cd6f23961acp-11",
+          "0x1.f32f057c4d3cbp-2", "0x1.9cee3d95d0f4dp-1", "0x1.7cd7d38942bcfp+3")),
         (cv.ResourceSpec(5, 1, 1, 0.3, 0.1), cv.ProtocolParams(sender=3, receiver=1), 20_003, 0,
-         ("0x1.2883d75129faap-1", "0x1.c3e4acbe4d724p-10",
-          "0x1.590273cfd5f9fp+0", "0x1.9003370833d64p+0", "0x1.8082256191ce9p+3")),
-        # 65,537 samples per shard: two chunks each
+         ("0x1.28ff0df570f2dp-1", "0x1.c3a699d959f80p-10",
+          "0x1.5411f00a26b98p+0", "0x1.925431534f605p+0", "0x1.36635d0e53e76p+3")),
+        # 65,537 samples in each shard but the last, which holds 65,538
         (cv.ResourceSpec(2, 1, 1, 0.3), cv.ProtocolParams(), 1_048_593, 42,
-         ("0x1.4ab3e2310090dp-1", "0x1.d4661f30ab406p-13",
-          "0x1.190199717aadcp+0", "0x1.185ea153f9d43p+0", "0x1.58d476eb41ba5p+3")),
+         ("0x1.4a7956fe7401ap-1", "0x1.d4aa5d188f8e3p-13",
+          "0x1.18cc0e7317d82p+0", "0x1.19ad0da96fb37p+0", "0x1.7ab8125d3ce0bp+4")),
     ])
     def test_simulate(self, spec, params, samples, seed, want):
         est = cv.simulate(cv.McConfig(samples=samples, seed=seed, spec=spec, params=params))
@@ -107,31 +107,17 @@ class TestPinnedDraws:
         ([-0.8999060592918622, 0.012644597142898784, 0.03846805925942309,
           -0.46959357212557795, -0.7415567102963319, -0.9585379348462681],
          cv.ResourceSpec(3, 1.3, 1.1, 0.6, 0.1), 40_000, 0,
-         ("0x1.6b5675176963bp-5", "0x1.916e2491bd046p+2", "0x1.173a9488ace0bp+2")),
+         ("0x1.6d2267fc33962p-5", "0x1.936a501c3d767p+2", "0x1.a209f638ea27fp+2")),
         ([1.0, 0.0, -1.0, 0.0], cv.ResourceSpec(2, 1, 1, 0.5, 0.0), 70_001, 5,
-         ("0x1.02e70149b2702p-8", "0x1.7a6864e04af12p-1", "0x1.d452b187b53d6p+3")),
+         ("0x1.019c467dd59fep-8", "0x1.78850129e6425p-1", "0x1.c35098829884fp+3")),
         ([0.3, -0.7, 1.1, 0.2], cv.ResourceSpec(2, 1.2, 1.0, 0.4, 0.1), 1_048_593, 8,
-         ("0x1.79fa27865baedp-8", "0x1.0b45b29243427p+2", "0x1.7301242844902p+3")),
+         ("0x1.78fa9358b6cd9p-8", "0x1.0a90f98283293p+2", "0x1.7e627bb9f3996p+3")),
     ])
     def test_variance_of_form(self, coefficients, spec, samples, seed, want):
         est = cv.variance_of_form(np.array(coefficients), spec, samples, seed)
         assert (est.std_error.hex(), est.var_x_rel_hat.hex(), est.shard_chi2.hex()) == want
         assert math.isnan(est.fidelity_mean) and math.isnan(est.var_p_tot_hat)
         assert math.isnan(est.gain)
-
-
-class TestScaledDot:
-    """The shard kernel scales the drawn block in place; its result must be
-    ``np.multiply(z, s) @ w`` bit for bit, for one kept mode and for several."""
-
-    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 8])
-    def test_bitwise_equal_to_the_broadcast(self, k):
-        rng = np.random.Generator(np.random.SFC64([7, k]))
-        z = rng.standard_normal((62_500, k))
-        s, w = rng.uniform(0.05, 20.0, k), rng.normal(size=k)
-        want = np.multiply(z, s) @ w
-        got = mc._scaled_dot(z.copy(), s, w)
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 class TestVarianceOfForm:
@@ -167,119 +153,91 @@ class TestVarianceOfForm:
             cv.variance_of_form(np.zeros(3), cv.ResourceSpec(2, 1, 1, 0.1), 100, 0)
 
 
-def serial_shard_sums(spec, cx, cp, samples, seed, forms, dense=False):
-    """Reference: the shards one after another, each chunk drawn into fresh
-    arrays, as _shard_sums did before its shards ran on threads.  Only the
-    modes with |w s| above 1e-15 of the largest are drawn, or all N if dense."""
-    O = cv.n_splitter(spec.N).entries[0::2, 0::2]
-    wx, wp = O.T @ cx, O.T @ cp
-    sx, sp = mc._input_scales(spec)
-    if not dense:
-        kx = np.abs(wx * sx) > 1e-15 * np.abs(wx * sx).max()
-        kp = np.abs(wp * sp) > 1e-15 * np.abs(wp * sp).max()
-        wx, sx, wp, sp = wx[kx], sx[kx], wp[kp], sp[kp]
-    counts = [samples // mc._SHARDS] * mc._SHARDS
-    counts[-1] += samples - sum(counts)
-    sums = []
-    for shard, count in enumerate(counts):
-        rng = np.random.Generator(np.random.SFC64([seed, shard]))
-        total = 0.0
-        for done in range(0, count, mc._CHUNK):
-            m = min(mc._CHUNK, count - done)
-            xr = (rng.standard_normal((m, len(wx))) * sx) @ wx
-            pt = (rng.standard_normal((m, len(wp))) * sp) @ wp
-            total = total + np.array([t for v in forms(xr, pt) for t in (v.sum(), (v * v).sum())])
-        sums.append(total.tolist())
-    return counts, sums
-
-
-class TestConcurrentShards:
-    """The shards run on mc._WORKERS threads; the sums must not depend on it."""
+class TestExactDraws:
+    """The exact-distribution draw against the per-sample oracle: two-sample KS tests
+    over 1,000 seeds a side, at alpha = 1e-3, on every estimate field."""
 
     SPEC = cv.ResourceSpec(4, 1.5, 1.1, 0.7, 0.1)
-    CX, CP = np.array([1.0, -1.0, 0.0, 0.0]), np.array([1.0, 1.0, 0.8, 0.8])
-    FORMS = {
-        "simulate": lambda xr, pt: (xr, pt),
-        "variance_of_form": lambda xr, pt: (xr + pt,),
-    }
+    PARAMS = cv.ProtocolParams(sender=2, receiver=0, gain=0.8)
+    FORM = np.random.default_rng(5).uniform(-1, 1, size=8)
+    SAMPLES, ALPHA = 640, 1e-3
 
-    @pytest.mark.parametrize("form", sorted(FORMS))
-    @pytest.mark.parametrize("chunk", [mc._CHUNK, 1000], ids=["one_chunk", "two_chunks"])
-    def test_sums_independent_of_worker_count(self, monkeypatch, form, chunk):
-        monkeypatch.setattr(mc, "_CHUNK", chunk)
-        samples, seed = 16 * 1500 + 7, 11  # shards of 1,500 and 1,507 samples
-        args = (self.SPEC, self.CX, self.CP, samples, seed, self.FORMS[form])
-        self.assert_sums_at_each_worker_count(monkeypatch, args, serial_shard_sums(*args))
+    def fields(self, seeds):
+        """Per seed: simulate's F, vx, vp and shard_chi2, variance_of_form's v and chi2."""
+        rows = []
+        for seed in seeds:
+            est = cv.simulate(cv.McConfig(self.SAMPLES, seed, self.SPEC, self.PARAMS))
+            form = cv.variance_of_form(self.FORM, self.SPEC, self.SAMPLES, seed)
+            rows.append((est.fidelity_mean, est.var_x_rel_hat, est.var_p_tot_hat,
+                         est.shard_chi2, form.var_x_rel_hat, form.shard_chi2))
+        return np.array(rows).T
 
-    @pytest.mark.parametrize("chunk", [mc._CHUNK, 1000], ids=["one_chunk", "two_chunks"])
-    def test_sparse_equals_dense_when_every_mode_is_weighted(self, monkeypatch, chunk):
-        monkeypatch.setattr(mc, "_CHUNK", chunk)
-        cx, cp = np.array([1.0, -1.0, 0.0, 0.3]), np.array([1.0, 1.0, 0.8, 0.5])
-        args = (self.SPEC, cx, cp, 16 * 1500 + 7, 11, self.FORMS["simulate"])
-        O = cv.n_splitter(4).entries[0::2, 0::2]
-        sx, sp = mc._input_scales(self.SPEC)
-        assert len(mc._kept(O.T @ cx, sx)) == len(mc._kept(O.T @ cp, sp)) == 4  # none dropped
-        self.assert_sums_at_each_worker_count(
-            monkeypatch, args, serial_shard_sums(*args, dense=True))
+    def test_same_distribution_as_per_sample_draws(self, monkeypatch):
+        exact = self.fields(range(1000))
+        monkeypatch.setattr(mc, "_shard_sums", per_sample_shard_sums)
+        per_sample = self.fields(range(1000, 2000))
+        for name, a, b in zip(("F", "vx", "vp", "chi2", "form", "form_chi2"), exact, per_sample):
+            assert ks_two_sample(a, b)[1] > self.ALPHA, name
 
-    @staticmethod
-    def assert_sums_at_each_worker_count(monkeypatch, args, want):
-        switch = sys.getswitchinterval()
-        try:
-            sys.setswitchinterval(1e-6)  # interleave the worker threads finely
-            for workers in (1, 2, 16):
-                monkeypatch.setattr(mc, "_WORKERS", workers)
-                assert mc._shard_sums(*args) == want, workers
-        finally:
-            sys.setswitchinterval(switch)
-
-    @pytest.mark.parametrize("workers", [1, 2, 16])
-    def test_shard_exception_reaches_caller(self, monkeypatch, workers):
-        monkeypatch.setattr(mc, "_WORKERS", workers)
-        error = ArithmeticError("shard 15 failed")
-
-        def forms(xr, pt):
-            if len(xr) == 105:  # only the last shard holds 16 * 100 + 5 - 15 * 100 samples
-                raise error
-            return (xr,)
-
-        with pytest.raises(ArithmeticError) as raised:
-            mc._shard_sums(self.SPEC, self.CX, self.CP, 16 * 100 + 5, 0, forms)
-        assert raised.value is error
+    def test_a_five_percent_p_variance_defect_is_seen(self, monkeypatch):
+        exact = self.fields(range(1000))
+        form_variances = mc.form_variances
+        monkeypatch.setattr(mc, "form_variances",
+                            lambda *args: (lambda vx, vp: (vx, 1.05 * vp))(*form_variances(*args)))
+        assert ks_two_sample(exact[2], self.fields(range(1000, 2000))[2])[1] < self.ALPHA
 
 
-def pair_weights(spec, sender, receiver, gain):
-    """simulate's forms pulled back onto the input modes, with their scales."""
-    cx, cp = np.zeros(spec.N), np.full(spec.N, gain)
-    cx[sender], cx[receiver] = 1.0, -1.0
-    cp[sender] = cp[receiver] = 1.0
-    O = cv.n_splitter(spec.N).entries[0::2, 0::2]
-    sx, sp = mc._input_scales(spec)
-    return (O.T @ cx, sx), (O.T @ cp, sp)
+class TestDrawCounts:
+    """Counts, not clocks: one generator per estimate, drawing 16 shards x 2 statistics
+    per form, whatever the sample count or N."""
+
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        count = {"generators": 0, "variates": 0}
+
+        class Counting:
+            def __init__(self, bits):
+                count["generators"] += 1
+                self.rng = np.random.Generator(bits)
+
+            def __getattr__(self, name):
+                def counted(*args, **kwargs):
+                    out = getattr(self.rng, name)(*args, **kwargs)
+                    count["variates"] += np.size(out)
+                    return out
+                return counted
+
+        monkeypatch.setattr(mc, "Generator", Counting)
+        return count
+
+    @pytest.mark.parametrize("N", [2, 1000])
+    @pytest.mark.parametrize("samples", [16, 1_000_000, 1_048_593])
+    def test_per_estimate(self, draws, N, samples):
+        spec = optimal_spec(N, 1, 1, 0.5)
+        cv.simulate(cv.McConfig(samples=samples, seed=3, spec=spec))
+        assert draws == {"generators": 1, "variates": 64}
+        cv.variance_of_form(np.ones(2 * N), spec, samples, seed=3)
+        assert draws == {"generators": 2, "variates": 96}
+
+
+class TestFormVariances:
+    """The variances the sampler draws from are the closed form's, to rounding."""
+
+    @pytest.mark.parametrize("N", [2, 3, 50, 1000])
+    @pytest.mark.parametrize("n1,n2,rbar,d", [(1, 1, 0.5, 0.0), (1.5, 1.2, 3.0, 0.4),
+                                              (2, 1, 6.0, -1.0)])
+    def test_pair_forms_against_network_variances(self, N, n1, n2, rbar, d):
+        spec = cv.ResourceSpec(N, n1, n2, rbar, d, constrain_bias=False)
+        for sender, receiver, g in ((0, 1, 0.3), (N - 1, 0, spec.iso.gain)):
+            got = mc.form_variances(N, spec.variances, *mc.pair_forms(N, sender, receiver, g))
+            want = cv.network_variances(N, spec.variances, g)
+            assert got == pytest.approx(want, rel=1e-12, abs=0)
 
 
 class TestSparseDraws:
-    """Only the input modes a form weights are drawn."""
-
-    @pytest.mark.parametrize("N,kept_x,kept_p", [
-        (2, [1], [0]), (3, [1, 2], [0, 1, 2]), (8, [1, 2], [0, 1, 2]),
-        (50, [1, 2], [0, 1, 2]), (200, [1, 2], [0, 1, 2]),
-    ])
-    def test_pair_01_at_optimal_gain(self, N, kept_x, kept_p):
-        spec = optimal_spec(N, 1, 1, 0.5)
-        (wx, sx), (wp, sp) = pair_weights(spec, 0, 1, cv.fidelity_network(spec).gain_used)
-        assert mc._kept(wx, sx).tolist() == kept_x
-        assert mc._kept(wp, sp).tolist() == kept_p
-
-    def test_only_negligible_weights_dropped(self):
-        spec = cv.ResourceSpec(5, 1, 1, 0.3, 0.1)
-        for w, s in pair_weights(spec, 3, 1, 0.7):
-            ws = np.abs(w * s)
-            dropped = np.setdiff1d(np.arange(5), mc._kept(w, s))
-            assert np.all(ws[dropped] <= 1e-15 * ws.max())
+    """A draw's cost depends on neither the sample count nor N."""
 
     def test_budget_at_50_modes(self):
-        # five normals per sample instead of 100: over 1 s with every mode drawn
         cfg = cv.McConfig(samples=1_000_000, seed=42, spec=optimal_spec(50, 1, 1, 0.5))
         times = []
         for _ in range(3):
