@@ -251,9 +251,9 @@ def _verify_suites(seed: int, samples: int, inject_fault: bool) -> list[tuple[st
         dev = max(dev, abs(est.fidelity_mean - analytic) / est.std_error)
     suites.append(("Monte Carlo vs analytic (sigmas)", dev, 3.0))
 
-    # the sampler's variances vs closed form, suite 1's grid to N = 200 (O takes 8 N^2 bytes)
+    # the sampler's two-moment variances vs closed form (suite 1 checks the splitter), to 10^4
     dev = 0.0
-    for N in (2, 3, 4, 8, 20, 50, 200):
+    for N in (2, 3, 4, 8, 20, 50, 200, 1000, 10_000):
         variances = np.array([ResourceSpec(N, *point).variances for point in grid]).T
         for g in (0.0, 1.0):
             got = form_variances(N, variances, *pair_forms(N, 0, 1, g))

@@ -182,7 +182,8 @@ def _helmert(N: int) -> np.ndarray:
     column = np.r_[1.0 / math.sqrt(N), -1.0 / np.sqrt(m * (m + 1.0))]
     O = np.tril(np.broadcast_to(column, (N, N)))  # column value on and below the diagonal
     O[j - 1, j] = np.sqrt(m / (m + 1.0))
-    return _freeze(O)
+    O.setflags(write=False)  # frozen in place: np.tril's result is already a fresh array
+    return O
 
 
 @lru_cache(maxsize=None)

@@ -5,12 +5,12 @@ samples of it enter each estimate only through their sum, N(0, n sigma^2), and t
 independent centred sum of squares, sigma^2 chi^2(n-1) (Cochran's theorem), with
 sigma^2 from ``form_variances``.  Each of 16 shards draws those two numbers per form
 from one SFC64 generator seeded with ``seed``: an estimate has exactly the
-distribution of n per-sample draws, at a cost independent of n and N.
+distribution of n per-sample draws, from a count of variates independent of n and N.
 
-Every estimate's distribution is thus fixed by sigma_x^2 and sigma_p^2: the sampler
-sees no more than an exact check of them against ``network_variances`` (a ``verify``
-suite), plus its estimators, their standard errors and the 3-sigma gate end to end.
-It shares the Helmert matrix and the input variances with the dense code, never a CM.
+Every estimate's distribution is thus fixed by sigma_x^2 and sigma_p^2, taken from two
+moments of each form's coefficients (no splitter matrix, no CM): the sampler sees no more
+than an exact check of them against ``network_variances`` (a ``verify`` suite), plus its
+estimators, their standard errors and the 3-sigma gate end to end.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 from numpy.random import SFC64, Generator
 
-from .gaussian import ResourceSpec, _helmert
+from .structured import ResourceSpec
 from .teleport import ProtocolParams, _checked_gain, fidelity_from_variances
 
 _SHARDS = 16
@@ -69,12 +69,12 @@ def pair_forms(N: int, sender: int, receiver: int, gain: float) -> tuple[np.ndar
 
 
 def form_variances(N: int, variances: tuple, cx: np.ndarray, cp: np.ndarray) -> tuple:
-    """Variances sum_i (O^T c)_i^2 v_i of c_x . x and c_p . p on the output quadratures,
-    with O from ``_helmert`` and v from the input variances (v1x, v2x, v1p, v2p) of
-    mode 0 and of the other N - 1 modes, which may be arrays of resources."""
+    """Variances v1 s^2/N + v2 sum_i (c_i - s/N)^2, s = sum c, of c_x . x and c_p . p on the
+    output quadratures: the N-splitter sends mode 0 (v1) along 1/sqrt(N) and the other modes
+    (v2) across it.  ``variances`` is (v1x, v2x, v1p, v2p), possibly arrays of resources."""
     v1x, v2x, v1p, v2p = variances
-    wx2, wp2 = ((c @ _helmert(N)) ** 2 for c in (cx, cp))
-    return wx2[0] * v1x + wx2[1:].sum() * v2x, wp2[0] * v1p + wp2[1:].sum() * v2p
+    return tuple(v1 * s * s / N + v2 * ((c - s / N) ** 2).sum()
+                 for c, s, v1, v2 in ((cx, cx.sum(), v1x, v2x), (cp, cp.sum(), v1p, v2p)))
 
 
 def _shard_sums(spec: ResourceSpec, cx: np.ndarray, cp: np.ndarray, samples: int, seed: int,

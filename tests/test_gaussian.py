@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 import warnings
 from itertools import product
 
@@ -136,6 +137,18 @@ class TestNSplitter:
             assert np.max(np.abs(S - cascade_splitter(N))) < 1e-12, N
             W = omega(N)
             assert np.max(np.abs(S @ W @ S.T - W)) < 1e-12, N
+
+    def test_helmert_is_built_in_place(self):
+        """A cold O at 1000 modes allocates its 8.0 MB and np.tril's 1.0 MB mask, not a
+        frozen copy on top; a count of bytes, not a clock."""
+        tracemalloc.start()
+        try:
+            O = cv.gaussian._helmert.__wrapped__(1000)  # bypass the memo cache
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not O.flags.writeable
+        assert peak <= 9.2e6, peak
 
     def test_cold_build_at_400_modes(self):
         times = []

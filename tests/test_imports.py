@@ -118,6 +118,20 @@ class TestNumpyOnlyOnDenseRoutes:
         """)
         assert out.splitlines()[-1] == "True"
 
+    def test_sampler_needs_no_dense_layer(self):
+        out = fresh("""
+            import sys
+            import numpy as np
+            import cvteleport.mc as mc
+            from cvteleport.structured import ResourceSpec
+
+            spec = ResourceSpec(5, 1.2, 1.0, 0.6, 0.1)
+            mc.simulate(mc.McConfig(samples=1600, seed=0, spec=spec))
+            mc.variance_of_form(np.ones(10), spec, 1600, 0)
+            print("cvteleport.gaussian" in sys.modules)
+        """)
+        assert out.splitlines()[-1] == "False"
+
     def test_dense_api_imports_numpy(self):
         out = fresh("""
             import sys

@@ -1,5 +1,7 @@
 import math
 import time
+import tracemalloc
+from itertools import product
 
 import numpy as np
 import pytest
@@ -84,17 +86,17 @@ class TestPinnedDraws:
     @pytest.mark.parametrize("spec,params,samples,seed,want", [
         (optimal_spec(2, 1, 1, 0.5), cv.ProtocolParams(), 50_000, 1,
          ("0x1.7639acb24067ap-1", "0x1.cd292759441d9p-11",
-          "0x1.79d7d860f9fecp-1", "0x1.78260d299bb61p-1", "0x1.10248c2c11af6p+4")),
+          "0x1.79d7d860f9fecp-1", "0x1.78260d299bb61p-1", "0x1.10248c2c11b2dp+4")),
         (optimal_spec(4, 1.5, 1.1, 1.0), cv.ProtocolParams(gain=0.7), 123_457, 9,
-         ("0x1.838ee37188d3bp-1", "0x1.15cd6f23961acp-11",
-          "0x1.f32f057c4d3cbp-2", "0x1.9cee3d95d0f4dp-1", "0x1.7cd7d38942bcfp+3")),
+         ("0x1.838ee37188d3ap-1", "0x1.15cd6f23961acp-11",
+          "0x1.f32f057c4d3cbp-2", "0x1.9cee3d95d0f54p-1", "0x1.7cd7d38942b68p+3")),
         (cv.ResourceSpec(5, 1, 1, 0.3, 0.1), cv.ProtocolParams(sender=3, receiver=1), 20_003, 0,
          ("0x1.28ff0df570f2dp-1", "0x1.c3a699d959f80p-10",
           "0x1.5411f00a26b98p+0", "0x1.925431534f605p+0", "0x1.36635d0e53e76p+3")),
         # 65,537 samples in each shard but the last, which holds 65,538
         (cv.ResourceSpec(2, 1, 1, 0.3), cv.ProtocolParams(), 1_048_593, 42,
          ("0x1.4a7956fe7401ap-1", "0x1.d4aa5d188f8e3p-13",
-          "0x1.18cc0e7317d82p+0", "0x1.19ad0da96fb37p+0", "0x1.7ab8125d3ce0bp+4")),
+          "0x1.18cc0e7317d82p+0", "0x1.19ad0da96fb38p+0", "0x1.7ab8125d3ccc8p+4")),
     ])
     def test_simulate(self, spec, params, samples, seed, want):
         est = cv.simulate(cv.McConfig(samples=samples, seed=seed, spec=spec, params=params))
@@ -107,11 +109,11 @@ class TestPinnedDraws:
         ([-0.8999060592918622, 0.012644597142898784, 0.03846805925942309,
           -0.46959357212557795, -0.7415567102963319, -0.9585379348462681],
          cv.ResourceSpec(3, 1.3, 1.1, 0.6, 0.1), 40_000, 0,
-         ("0x1.6d2267fc33962p-5", "0x1.936a501c3d767p+2", "0x1.a209f638ea27fp+2")),
+         ("0x1.6d2267fc3395ep-5", "0x1.936a501c3d762p+2", "0x1.a209f638ea287p+2")),
         ([1.0, 0.0, -1.0, 0.0], cv.ResourceSpec(2, 1, 1, 0.5, 0.0), 70_001, 5,
-         ("0x1.019c467dd59fep-8", "0x1.78850129e6425p-1", "0x1.c35098829884fp+3")),
+         ("0x1.019c467dd59ffp-8", "0x1.78850129e6426p-1", "0x1.c35098829884bp+3")),
         ([0.3, -0.7, 1.1, 0.2], cv.ResourceSpec(2, 1.2, 1.0, 0.4, 0.1), 1_048_593, 8,
-         ("0x1.78fa9358b6cd9p-8", "0x1.0a90f98283293p+2", "0x1.7e627bb9f3996p+3")),
+         ("0x1.78fa9358b6cdcp-8", "0x1.0a90f98283295p+2", "0x1.7e627bb9f3995p+3")),
     ])
     def test_variance_of_form(self, coefficients, spec, samples, seed, want):
         est = cv.variance_of_form(np.array(coefficients), spec, samples, seed)
@@ -219,19 +221,48 @@ class TestDrawCounts:
         cv.variance_of_form(np.ones(2 * N), spec, samples, seed=3)
         assert draws == {"generators": 2, "variates": 96}
 
+    def test_memory_is_linear_in_N(self, draws):
+        """At 10^5 modes an estimate allocates a few length-N vectors, at most 8 x 8N
+        bytes: no N x N matrix (which would take 80 GB) is built."""
+        N = 100_000
+        config = cv.McConfig(samples=1_000_000, seed=3, spec=optimal_spec(N, 1, 1, 0.5))
+        tracemalloc.start()
+        try:
+            cv.simulate(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert draws == {"generators": 1, "variates": 64}
+        assert peak <= 8 * 8 * N, peak
+
 
 class TestFormVariances:
-    """The variances the sampler draws from are the closed form's, to rounding."""
+    """The variances the sampler draws from are the closed form's and the dense
+    resource's, to rounding."""
 
-    @pytest.mark.parametrize("N", [2, 3, 50, 1000])
+    @pytest.mark.parametrize("N", [2, 3, 50, 1000, 10_000, 100_000])
     @pytest.mark.parametrize("n1,n2,rbar,d", [(1, 1, 0.5, 0.0), (1.5, 1.2, 3.0, 0.4),
                                               (2, 1, 6.0, -1.0)])
     def test_pair_forms_against_network_variances(self, N, n1, n2, rbar, d):
         spec = cv.ResourceSpec(N, n1, n2, rbar, d, constrain_bias=False)
-        for sender, receiver, g in ((0, 1, 0.3), (N - 1, 0, spec.iso.gain)):
+        for (sender, receiver), g in product(((0, 1), (1, 0), (N - 1, 0)),
+                                             (0.0, 0.3, 1.0, spec.iso.gain)):
             got = mc.form_variances(N, spec.variances, *mc.pair_forms(N, sender, receiver, g))
             want = cv.network_variances(N, spec.variances, g)
-            assert got == pytest.approx(want, rel=1e-12, abs=0)
+            assert got == pytest.approx(want, rel=1e-12, abs=0), (sender, receiver, g)
+
+    @pytest.mark.parametrize("N", [2, 3, 8, 50])
+    @pytest.mark.parametrize("rbar", [0.0, 1.0, 3.0])
+    def test_any_form_against_the_dense_resource(self, N, rbar):
+        """For any 2N-vector c, the x and p variances sum to c^T sigma c (the form
+        ``variance_of_form`` samples), with sigma from ``build_resource``."""
+        rng = np.random.default_rng(N)
+        for n1, n2, d in ((1, 1, 0.0), (1.5, 1.2, rbar / 2), (2, 1, -rbar)):
+            spec = cv.ResourceSpec(N, n1, n2, rbar, d)
+            sigma = cv.build_resource(spec).entries
+            for c in rng.uniform(-1, 1, size=(10, 2 * N)):
+                got = sum(mc.form_variances(N, spec.variances, c[0::2], c[1::2]))
+                assert got == pytest.approx(c @ sigma @ c, rel=1e-12, abs=0)
 
 
 class TestSparseDraws:
