@@ -32,8 +32,8 @@ print("physical:", bool(np.all(nu >= 1 - 1e-9)))
 # With n1 = n2 = 1 the inputs are pure, so the network output is pure too.
 print("purity:", cv.purity(sigma))
 
-# The x-sector column of the N-splitter is uniform: each user receives an
-# equal share of the squeezed quadrature.
-S = cv.n_splitter(3).entries
-print("\nfirst x-sector column of the 3-splitter:", np.round(S[0::2, 0], 6))
-print("expected 1/sqrt(3):", 1 / np.sqrt(3))
+# The N-splitter sends mode 0 along 1/sqrt(N): each user receives an equal
+# share of the momentum-squeezed mode's x variance v1x, on top of v2x.
+v1x, v2x, v1p, v2p = spec.variances
+print("\nx variance of each user:", np.round(np.diag(sigma.entries[0::2, 0::2]), 6))
+print("expected v2x + (v1x - v2x)/3:", round(v2x + (v1x - v2x) / 3, 6))

@@ -29,9 +29,8 @@ from .localize import (
     ConditionalState, homodyne_condition, localizable_eta, localizable_report, localize)
 
 _NUMPY_NAMES = {
-    "gaussian": ("CovarianceMatrix", "SymplecticTransform", "apply", "beam_splitter",
-                 "block_diag_cm", "build_resource", "n_splitter", "omega", "partial_transpose",
-                 "purity", "squeezed_thermal_cm", "squeezer", "symplectic_eigenvalues",
+    "gaussian": ("CovarianceMatrix", "block_diag_cm", "build_resource", "omega",
+                 "partial_transpose", "purity", "squeezed_thermal_cm", "symplectic_eigenvalues",
                  "vacuum_cm"),
     "mc": ("McConfig", "McEstimate", "simulate", "variance_of_form"),
 }

@@ -1,13 +1,12 @@
-"""Covariance-matrix representation of Gaussian states and symplectic transforms.
+"""Covariance-matrix representation of Gaussian states.
 
 Conventions used throughout the package:
 
 * quadrature ordering is interleaved, ``(x1, p1, x2, p2, ..., xN, pN)``
 * vacuum-normalized units: the vacuum covariance matrix is the identity,
   so a state is physical iff every symplectic eigenvalue is >= 1
-* the beam splitter follows the phase-free convention
-  ``a_i -> a_i cos(t) + a_j sin(t)``, ``a_j -> a_i sin(t) - a_j cos(t)``; the
-  N-splitter is one N x N Helmert matrix on x and p alike, built per quadrature
+* the N-splitter is one N x N Helmert matrix on x and p alike, applied per
+  quadrature by ``build_resource``
 
 This is the package's numpy layer: it is imported only by routes that build
 or read a covariance matrix.  ``ResourceSpec`` is defined in the pure-Python
@@ -88,25 +87,6 @@ class CovarianceMatrix:
         return self.entries[2 * i:2 * i + 2, 2 * j:2 * j + 2]
 
 
-@dataclass(frozen=True)
-class SymplecticTransform:
-    """Real 2N x 2N matrix S with S Omega S^T = Omega (checked to 1e-12)."""
-
-    entries: np.ndarray
-    n_modes: int = field(init=False)
-
-    def __post_init__(self):
-        m = np.asarray(self.entries, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2 != 0:
-            raise ValueError(f"symplectic matrix must be 2N x 2N, got shape {m.shape}")
-        n = m.shape[0] // 2
-        mW = np.stack([-m[:, 1::2], m[:, 0::2]], axis=2).reshape(m.shape)  # m @ omega(n)
-        if np.max(np.abs(mW @ m.T - omega(n))) > SYMMETRY_TOL:
-            raise ValueError("matrix does not preserve the symplectic form")
-        object.__setattr__(self, "entries", _freeze(m))
-        object.__setattr__(self, "n_modes", n)
-
-
 def vacuum_cm(n_modes: int) -> CovarianceMatrix:
     """Vacuum state of n_modes modes: the 2N x 2N identity."""
     if n_modes < 1:
@@ -138,45 +118,13 @@ def _input_variances(n1: float, n2: float, r1: float, r2: float) -> tuple[float,
         raise ValueError("covariance matrix has non-finite entries") from None
 
 
-def beam_splitter(theta: float, i: int, j: int, n_modes: int) -> SymplecticTransform:
-    """Phase-free beam splitter between modes i and j of an n_modes system.
-
-    Acts as (x_i, p_i) -> cos(t)(x_i, p_i) + sin(t)(x_j, p_j) and
-    (x_j, p_j) -> sin(t)(x_i, p_i) - cos(t)(x_j, p_j); identity elsewhere.
-    Note the minus sign on the second output mode.
-    """
-    if i == j:
-        raise ValueError("beam splitter needs two distinct modes")
-    if not (0 <= i < n_modes and 0 <= j < n_modes):
-        raise ValueError(f"mode indices ({i}, {j}) out of range for {n_modes} modes")
-    c, s = np.cos(theta), np.sin(theta)
-    S = np.eye(2 * n_modes)
-    for q in (0, 1):  # same action on x and p (phase-free)
-        a, b = 2 * i + q, 2 * j + q
-        S[a, a] = c
-        S[a, b] = s
-        S[b, a] = s
-        S[b, b] = -c
-    return SymplecticTransform(S)
-
-
-def squeezer(r: float, mode: int, n_modes: int) -> SymplecticTransform:
-    """Single-mode squeezer diag(e^r, e^{-r}) on the given mode."""
-    if not 0 <= mode < n_modes:
-        raise ValueError(f"mode {mode} out of range for {n_modes} modes")
-    S = np.eye(2 * n_modes)
-    S[2 * mode, 2 * mode] = np.exp(r)
-    S[2 * mode + 1, 2 * mode + 1] = np.exp(-r)
-    return SymplecticTransform(S)
-
-
 @lru_cache(maxsize=None)
 def _helmert(N: int) -> np.ndarray:
     """Read-only N x N Helmert matrix O, the N-splitter's action on x and on p alike:
     column 0 is 1/sqrt(N); column j >= 1 is sqrt(m/(m+1)) in row j - 1 and
-    -1/sqrt(m(m+1)) in rows j..N-1, with m = N - j."""
-    if N < 2:
-        raise ValueError(f"N-splitter needs N >= 2, got {N}")
+    -1/sqrt(m(m+1)) in rows j..N-1, with m = N - j.  It equals the beam-splitter
+    cascade B_{N-1,N}(pi/4) ... B_{1,2}(arccos 1/sqrt(N)) (1-based labels, rightmost
+    first) on either quadrature; ``tests/oracles.py::cascade_splitter`` multiplies it out."""
     j = np.arange(1, N)
     m = N - j
     column = np.r_[1.0 / math.sqrt(N), -1.0 / np.sqrt(m * (m + 1.0))]
@@ -184,24 +132,6 @@ def _helmert(N: int) -> np.ndarray:
     O[j - 1, j] = np.sqrt(m / (m + 1.0))
     O.setflags(write=False)  # frozen in place: np.tril's result is already a fresh array
     return O
-
-
-@lru_cache(maxsize=None)
-def n_splitter(N: int) -> SymplecticTransform:
-    """Balanced N-splitter distributing mode 0 evenly over all N outputs: the cascade
-    B_{N-1,N}(pi/4) ... B_{1,2}(arccos 1/sqrt(N)) (1-based labels, rightmost first)
-    in closed form O (x) I_2; only callers that ask for the transform pay its check."""
-    return SymplecticTransform(np.kron(_helmert(N), np.eye(2)))
-
-
-def apply(S: SymplecticTransform, sigma: CovarianceMatrix) -> CovarianceMatrix:
-    """Transform the state: sigma -> S sigma S^T."""
-    if S.n_modes != sigma.n_modes:
-        raise ValueError(
-            f"dimension mismatch: transform has {S.n_modes} modes, state {sigma.n_modes}"
-        )
-    out = S.entries @ sigma.entries @ S.entries.T
-    return CovarianceMatrix(0.5 * (out + out.T))
 
 
 def block_diag_cm(*cms: CovarianceMatrix) -> CovarianceMatrix:

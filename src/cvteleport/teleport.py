@@ -65,6 +65,8 @@ def teleported_variances(
     N = sigma.n_modes
     if not (0 <= sender < N and 0 <= receiver < N) or sender == receiver:
         raise ValueError(f"invalid sender/receiver pair ({sender}, {receiver}) for {N} modes")
+    if not math.isfinite(gain):
+        raise ValueError(f"gain must be finite, got {gain}")
     u = np.zeros(2 * N)
     v = np.zeros(2 * N)
     u[2 * sender] = 1.0

@@ -22,9 +22,9 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 # The package's public names, by the module each is read from.
 EXPORTS = {
     "gaussian": [
-        "CovarianceMatrix", "ResourceSpec", "SymplecticTransform", "apply", "beam_splitter",
-        "block_diag_cm", "build_resource", "n_splitter", "omega", "partial_transpose",
-        "purity", "squeezed_thermal_cm", "squeezer", "symplectic_eigenvalues", "vacuum_cm"],
+        "CovarianceMatrix", "ResourceSpec", "block_diag_cm", "build_resource", "omega",
+        "partial_transpose", "purity", "squeezed_thermal_cm", "symplectic_eigenvalues",
+        "vacuum_cm"],
     "structured": [
         "IsoEntangledClass", "OptimizationResult", "ResourceSpec", "WorstCase",
         "fidelity_from_variances", "input_variances", "network_variances"],
@@ -79,6 +79,14 @@ class TestNamespace:
     def test_unknown_name_raises_attribute_error(self):
         with pytest.raises(AttributeError, match="no_such_name"):
             cv.no_such_name
+
+    @pytest.mark.parametrize("name", ["SymplecticTransform", "apply", "beam_splitter",
+                                      "n_splitter", "squeezer"])
+    def test_removed_transform_names_are_gone(self, name):
+        """The 2N x 2N transforms live in ``tests/oracles.py``, not in the package."""
+        with pytest.raises(AttributeError, match=name):
+            getattr(cv, name)
+        assert not hasattr(cv.gaussian, name)
 
     def test_submodules_resolve_in_a_fresh_interpreter(self):
         out = fresh("""

@@ -57,6 +57,14 @@ class TestTeleportedVariances:
         with pytest.raises(ValueError):
             teleported_variances(cv.vacuum_cm(2), 0, 2, 1.0)
 
+    @pytest.mark.parametrize("gain", [math.nan, math.inf, -math.inf])
+    def test_non_finite_gain_rejected_as_by_protocol_params(self, gain):
+        message = f"^gain must be finite, got {gain}$"
+        with pytest.raises(ValueError, match=message):
+            cv.ProtocolParams(gain=gain)
+        with pytest.raises(ValueError, match=message):
+            teleported_variances(cv.build_resource(cv.ResourceSpec(3, 1, 1, 0.5)), 0, 1, gain)
+
 
 class TestPhiTwoMode:
     def test_vacuum_resource(self):
