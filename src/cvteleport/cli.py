@@ -196,28 +196,28 @@ def _verify_suites(seed: int, samples: int, inject_fault: bool) -> list[tuple[st
     import numpy as np
 
     from .entanglement import eta_generalized, eta_two_mode
-    from .gaussian import build_resource
+    from .gaussian import build_resource, resource_entries, validated
     from .localize import localize
     from .mc import McConfig, form_variances, pair_forms, simulate
     from .teleport import teleported_variances
 
     suites = []
 
-    # closed-form variances vs covariance-matrix pipeline, on a grid of (n1, n2, rbar, d)
+    # closed-form variances vs covariance-matrix pipeline, on a grid of (n1, n2, rbar, d),
+    # built and validated as one stack per N; the inputs' variances do not depend on N
     grid = [(n1, n2, rbar, dfrac * rbar) for rbar in (0.0, 0.5, 1.0, 2.0)
             for n1 in (1.0, 2.0) for n2 in (1.0, 2.0) for dfrac in (-0.5, 0.0, 0.5)]
+    variances = np.array([ResourceSpec(2, *point).variances for point in grid]).T
     dev = 0.0
     for N in (2, 3, 4, 8, 20):
-        for point in grid:
-            spec = ResourceSpec(N, *point)
-            sigma = build_resource(spec)
-            for g in (0.0, 1.0):
-                vx, vp = teleported_variances(sigma, 0, 1, g)
-                cx, cp = network_variances(spec.N, spec.variances, g)
-                dev = max(dev, abs(vx - cx), abs(vp - cp))
+        stack = validated(resource_entries(N, variances))
+        for g in (0.0, 1.0):
+            vx, vp = teleported_variances(stack, 0, 1, g)
+            cx, cp = network_variances(N, variances, g)
+            dev = max(dev, np.abs(vx - cx).max(), np.abs(vp - cp).max())
     if inject_fault:
         dev += 1.0
-    suites.append(("closed-form vs pipeline variances", dev, 1e-10))
+    suites.append(("closed-form vs pipeline variances", float(dev), 1e-10))
 
     # closed-form optimum vs numerical oracle
     dev = 0.0
@@ -254,7 +254,6 @@ def _verify_suites(seed: int, samples: int, inject_fault: bool) -> list[tuple[st
     # the sampler's two-moment variances vs closed form (suite 1 checks the splitter), to 10^4
     dev = 0.0
     for N in (2, 3, 4, 8, 20, 50, 200, 1000, 10_000):
-        variances = np.array([ResourceSpec(N, *point).variances for point in grid]).T
         for g in (0.0, 1.0):
             got = form_variances(N, variances, *pair_forms(N, 0, 1, g))
             dev = max(dev, np.abs(np.divide(got, network_variances(N, variances, g)) - 1).max())

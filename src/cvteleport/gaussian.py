@@ -6,7 +6,9 @@ Conventions used throughout the package:
 * vacuum-normalized units: the vacuum covariance matrix is the identity,
   so a state is physical iff every symplectic eigenvalue is >= 1
 * the N-splitter is one N x N Helmert matrix on x and p alike, applied per
-  quadrature by ``build_resource``
+  quadrature by ``resource_entries``
+* ``resource_entries`` builds and ``validated`` checks a stack of matrices;
+  ``build_resource`` and ``CovarianceMatrix`` are their one-matrix case
 
 This is the package's numpy layer: it is imported only by routes that build
 or read a covariance matrix.  ``ResourceSpec`` is defined in the pure-Python
@@ -26,6 +28,7 @@ from .structured import ResourceSpec, input_variances
 
 SYMMETRY_TOL = 1e-12
 PHYSICALITY_TOL = 1e-9
+_CHOLESKY_SLICE = 8  # matrices per complex Cholesky in ``validated``: bounds its transient
 
 
 def omega(n_modes: int) -> np.ndarray:
@@ -45,42 +48,59 @@ def _shifted_omega(dim: int) -> np.ndarray:
     return _freeze(1j * (1.0 - PHYSICALITY_TOL) * omega(dim // 2), complex)
 
 
+def validated(m) -> np.ndarray:
+    """Validate each matrix of a (..., 2N, 2N) stack; return the stack symmetrized.
+
+    Checks, in order: finite entries, symmetry to 1e-12, physicality.  A complex
+    Cholesky of sigma + i(1 - 1e-9) Omega, over slices of the stack, accepts every
+    matrix whose symplectic eigenvalues all exceed 1 - 1e-9.  In a slice where it
+    fails, each matrix gets its own; only where that fails does the spectrum decide
+    and word the rejection, the ValueError the matrix raises alone."""
+    m = np.asarray(m, dtype=float)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] % 2 != 0:
+        raise ValueError(f"covariance matrix must be 2N x 2N, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError("covariance matrix has non-finite entries")
+    mT = np.swapaxes(m, -1, -2)
+    gap = m - mT
+    if np.abs(gap, out=gap).max() > SYMMETRY_TOL:
+        raise ValueError("covariance matrix is not symmetric to 1e-12")
+    m = np.add(m, mT, out=gap)  # 0.5 (m + m^T), in the buffer of the gap
+    m *= 0.5
+    stack, shifted = m.reshape(-1, *m.shape[-2:]), _shifted_omega(m.shape[-1])
+    for at in range(0, len(stack), _CHOLESKY_SLICE):
+        part = stack[at:at + _CHOLESKY_SLICE]
+        with suppress(np.linalg.LinAlgError):  # sigma + i(1 - tol) Omega > 0: every nu
+            np.linalg.cholesky(part + shifted)  # > 1 - tol, so sigma > 0 too
+            continue
+        for sigma in part:
+            with suppress(np.linalg.LinAlgError):
+                np.linalg.cholesky(sigma + shifted)
+                continue
+            nu_min = symplectic_eigenvalues(sigma)[0]  # rejects sigma unless sigma > 0
+            # norm-scaled slack for entries >> 1e6, where the spectrum cannot resolve nu
+            # to 1e-9; it only widens the bound, so its SVD runs only when 1e-9 rejects
+            if nu_min < 1.0 - PHYSICALITY_TOL and (
+                    nu_min < 1.0 - 64 * np.finfo(float).eps * np.linalg.norm(sigma, 2)):
+                raise ValueError(
+                    f"unphysical covariance matrix: min symplectic eigenvalue {nu_min:.12g}")
+    return m
+
+
 @dataclass(frozen=True)
 class CovarianceMatrix:
-    """Real symmetric 2N x 2N matrix of quadrature second moments.
-
-    Validated on construction: finite entries, symmetry to 1e-12, physicality.
-    One complex Cholesky of sigma + i(1 - 1e-9) Omega accepts it: that holds exactly
-    when every symplectic eigenvalue exceeds 1 - 1e-9.  Only if it fails does
-    ``symplectic_eigenvalues`` run, which rejects a matrix that is not positive
-    definite and otherwise gives the nu_min that decides and words the rejection.
-    """
+    """Real symmetric 2N x 2N matrix of quadrature second moments; see ``validated``."""
 
     entries: np.ndarray
     n_modes: int = field(init=False)
 
     def __post_init__(self):
         m = np.asarray(self.entries, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2 != 0:
+        if m.ndim != 2:
             raise ValueError(f"covariance matrix must be 2N x 2N, got shape {m.shape}")
-        if not np.isfinite(m).all():
-            raise ValueError("covariance matrix has non-finite entries")
-        if np.max(np.abs(m - m.T)) > SYMMETRY_TOL:
-            raise ValueError("covariance matrix is not symmetric to 1e-12")
-        m = 0.5 * (m + m.T)
+        m = validated(m)
         object.__setattr__(self, "entries", _freeze(m))
         object.__setattr__(self, "n_modes", m.shape[0] // 2)
-        with suppress(np.linalg.LinAlgError):  # if it fails, the spectrum decides and words it
-            np.linalg.cholesky(m + _shifted_omega(m.shape[0]))
-            return  # sigma + i(1 - tol) Omega > 0: every nu > 1 - tol, so sigma > 0 too
-        nu_min = symplectic_eigenvalues(self)[0]
-        # norm-scaled slack for entries >> 1e6, where the spectrum cannot resolve nu
-        # to 1e-9; it only widens the bound, so its SVD runs only when 1e-9 rejects
-        if nu_min < 1.0 - PHYSICALITY_TOL and (
-                nu_min < 1.0 - 64 * np.finfo(float).eps * np.linalg.norm(m, 2)):
-            raise ValueError(
-                f"unphysical covariance matrix: min symplectic eigenvalue {nu_min:.12g}"
-            )
 
     def mode_block(self, i: int, j: int) -> np.ndarray:
         """2x2 block coupling modes i and j (i == j gives a single-mode CM)."""
@@ -146,16 +166,25 @@ def block_diag_cm(*cms: CovarianceMatrix) -> CovarianceMatrix:
     return CovarianceMatrix(out)
 
 
+def resource_entries(N: int, variances) -> np.ndarray:
+    """Unvalidated (k, 2N, 2N) entries of the N-mode resources whose input variances
+    (v1x, v2x, v1p, v2p) have shape (4,) or (4, k).  Each quadrature block is the
+    symmetrized O diag(v) O^T, with O from ``_helmert`` and v = (v1, v2, ..., v2);
+    the x-p blocks are 0."""
+    v = np.reshape(variances, (2, 2, -1))  # [quadrature][v1, v2][resource]
+    diag = np.repeat(v, (1, N - 1), axis=1).transpose(0, 2, 1)  # [quadrature][resource][mode]
+    blocks = (_helmert(N) * diag[:, :, None]) @ _helmert(N).T
+    m = np.zeros((v.shape[2], 2 * N, 2 * N))
+    m[:, 0::2, 0::2], m[:, 1::2, 1::2] = blocks + np.swapaxes(blocks, 2, 3)
+    m *= 0.5
+    return m
+
+
 def build_resource(spec: ResourceSpec) -> CovarianceMatrix:
     """N-mode symmetric resource: N-splitter on one momentum-squeezed mode (n1, r1)
-    and N-1 position-squeezed modes (n2, r2).  Each quadrature block is O diag(v) O^T
-    (O from ``_helmert``, v from ``spec.variances``), the x-p blocks are 0; validated once."""
-    v1x, v2x, v1p, v2p = _input_variances(spec.n1, spec.n2, spec.r1, spec.r2)
-    m = np.zeros((2 * spec.N, 2 * spec.N))
-    for q, (v1, v2) in enumerate(((v1x, v2x), (v1p, v2p))):
-        v = np.array([v1] + [v2] * (spec.N - 1))
-        m[q::2, q::2] = (_helmert(spec.N) * v) @ _helmert(spec.N).T
-    return CovarianceMatrix(0.5 * (m + m.T))
+    and N-1 position-squeezed modes (n2, r2); ``resource_entries`` for k = 1."""
+    v = _input_variances(spec.n1, spec.n2, spec.r1, spec.r2)
+    return CovarianceMatrix(resource_entries(spec.N, v)[0])
 
 
 def symplectic_eigenvalues(sigma) -> np.ndarray:

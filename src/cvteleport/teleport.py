@@ -59,10 +59,12 @@ class TeleportOutcome:
 def teleported_variances(
     sigma: CovarianceMatrix, sender: int, receiver: int, gain: float
 ) -> tuple[float, float]:
-    """Variances of x_rel and p_tot as quadratic forms on the resource CM."""
+    """Variances of x_rel and p_tot as quadratic forms on the resource CM; on a
+    validated (k, 2N, 2N) stack of entries (``gaussian.validated``), arrays of k."""
     import numpy as np
 
-    N = sigma.n_modes
+    m = getattr(sigma, "entries", sigma)
+    N = m.shape[-1] // 2
     if not (0 <= sender < N and 0 <= receiver < N) or sender == receiver:
         raise ValueError(f"invalid sender/receiver pair ({sender}, {receiver}) for {N} modes")
     if not math.isfinite(gain):
@@ -74,8 +76,8 @@ def teleported_variances(
     v[1::2] = gain
     v[2 * sender + 1] = 1.0
     v[2 * receiver + 1] = 1.0
-    m = sigma.entries
-    return float(u @ m @ u), float(v @ m @ v)
+    var_x, var_p = u @ m @ u, v @ m @ v
+    return (float(var_x), float(var_p)) if m.ndim == 2 else (var_x, var_p)
 
 
 def _checked_gain(spec: ResourceSpec, params: ProtocolParams) -> float:

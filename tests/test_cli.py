@@ -385,19 +385,22 @@ class TestVerifyCommand:
         assert len(out.splitlines()) == 6  # five suites, then the verdict
 
     def test_validations_per_request(self, capsys, monkeypatch):
-        """Counts, not clocks: one CovarianceMatrix validation per built resource
-        (240 in suite 1, 18 in suite 3) and one per localized state (18)."""
-        validations = []
-        validate = cv.gaussian.CovarianceMatrix.__post_init__
+        """Counts, not clocks: every matrix goes through the validation kernel once.
+        Suite 1 passes one stack of 48 resources per N (5 calls, 240 matrices);
+        suite 3 passes its 18 built resources and 18 localized states one by one."""
+        stacks = []
+        validated = cv.gaussian.validated
 
-        def counting(self):
-            validations.append(len(self.entries))
-            validate(self)
+        def counting(m):
+            stacks.append(np.shape(m)[:-2])
+            return validated(m)
 
-        monkeypatch.setattr(cv.gaussian.CovarianceMatrix, "__post_init__", counting)
+        monkeypatch.setattr(cv.gaussian, "validated", counting)
         code, _, _ = run(capsys, "verify", "--samples", "1000000", "--seed", "42")
         assert code == 0
-        assert len(validations) == 276
+        assert sum(math.prod(shape) for shape in stacks) == 276
+        assert len(stacks) == 41
+        assert sorted(stacks) == [()] * 36 + [(48,)] * 5
 
     def test_pull_back_suite_sees_a_p_variance_off_by_1e_9(self, capsys, monkeypatch):
         """The exact check that the sampler's power reduces to trips at 1 + 1e-9,

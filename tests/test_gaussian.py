@@ -15,6 +15,19 @@ from oracles import (
     squeezer, symplectic_min_mp)
 
 
+NU_MINS = [2.0, 1 + 1e-7, 1 - 5e-10, 1 - 2e-9, 1 - 1e-6, 0.5]
+
+
+def with_spectrum(N, nu_min):
+    """sigma = S (+)_k nu_k I_2 S^T, whose symplectic spectrum is nu by construction,
+    with nu_min and N - 1 draws from [1, 3)."""
+    rng = np.random.default_rng(100 + N)
+    nu = np.r_[nu_min, rng.uniform(1.0, 3.0, N - 1)]
+    S = random_symplectic(N, rng)  # squeezings |r| <= 0.8
+    sigma = S @ np.diag(np.repeat(nu, 2)) @ S.T
+    return 0.5 * (sigma + sigma.T)
+
+
 class TestVacuum:
     def test_single_mode(self):
         assert np.array_equal(cv.vacuum_cm(1).entries, np.eye(2))
@@ -426,15 +439,10 @@ class TestCholeskyValidation:
         if N > 2:
             assert cv.localize(sigma).cm.n_modes == 2
 
-    @pytest.mark.parametrize("nu_min", [2.0, 1 + 1e-7, 1 - 5e-10, 1 - 2e-9, 1 - 1e-6, 0.5])
+    @pytest.mark.parametrize("nu_min", NU_MINS)
     @pytest.mark.parametrize("N", [2, 5, 12])
     def test_decision_matches_the_spectrum_rule(self, N, nu_min):
-        # sigma = S (+)_k nu_k I_2 S^T has the symplectic spectrum nu by construction
-        rng = np.random.default_rng(100 + N)
-        nu = np.r_[nu_min, rng.uniform(1.0, 3.0, N - 1)]
-        S = random_symplectic(N, rng)  # squeezings |r| <= 0.8
-        sigma = S @ np.diag(np.repeat(nu, 2)) @ S.T
-        sigma = 0.5 * (sigma + sigma.T)
+        sigma = with_spectrum(N, nu_min)
         if nu_min >= 1.0 - cv.gaussian.PHYSICALITY_TOL:
             assert np.array_equal(cv.CovarianceMatrix(sigma).entries, sigma)
         else:
@@ -453,3 +461,102 @@ class TestCholeskyValidation:
             return (time.perf_counter() - t0) / 200
 
         assert min(per_validation() for _ in range(5)) < 80e-6
+
+
+# verify's suite-1 grid of (n1, n2, rbar, d)
+GRID = [(n1, n2, rbar, dfrac * rbar) for rbar in (0.0, 0.5, 1.0, 2.0)
+        for n1 in (1.0, 2.0) for n2 in (1.0, 2.0) for dfrac in (-0.5, 0.0, 0.5)]
+
+
+def with_entry(m, at, value):
+    m = np.array(m, dtype=float)
+    m[at] = value
+    return m
+
+
+# each matrix the tests above accept or reject, keyed by the reason
+ALONE = {
+    **{f"{value}-at-{at}": with_entry(with_entry(np.eye(4), at, value), at[::-1], value)
+       for value in (math.nan, math.inf, -math.inf) for at in ((0, 0), (0, 1))},
+    "asymmetric": with_entry(np.eye(2), (0, 1), 1e-6),
+    "unphysical": 0.5 * np.eye(2),
+    "indefinite": np.diag([1.0, -1.0]),
+    "slack-accepts": np.diag([1e7, (1 - 3e-8) / 1e7]),
+    "slack-rejects": np.diag([1e7, (1 - 1e-6) / 1e7]),
+    **{f"N{N}-nu{nu_min}": with_spectrum(N, nu_min) for N in (2, 5, 12) for nu_min in NU_MINS},
+}
+
+
+def physical_stack(dim):
+    """Eleven physical states of dim / 2 modes: squeezed thermal or built resources."""
+    if dim == 2:
+        return np.array([cv.squeezed_thermal_cm(1 + 0.1 * i, 0.2 * i).entries for i in range(11)])
+    return np.array([cv.build_resource(cv.ResourceSpec(dim // 2, 1 + 0.1 * i, 1.2, 0.3 * i, 0.0))
+                     .entries for i in range(11)])
+
+
+def outcome(validate, m):
+    """The validated entries, or the text of the rejection."""
+    try:
+        return validate(m)
+    except ValueError as error:
+        return str(error)
+
+
+class TestStackedKernels:
+    """``resource_entries`` and ``validated`` over a stack give, matrix by matrix,
+    what ``build_resource`` and ``CovarianceMatrix`` give for one matrix."""
+
+    VARIANCES = np.array([cv.ResourceSpec(2, *point).variances for point in GRID]).T
+
+    def stack(self, N):
+        return cv.gaussian.validated(cv.gaussian.resource_entries(N, self.VARIANCES))
+
+    @pytest.mark.parametrize("N", [2, 3, 4, 8, 20])
+    def test_slices_are_the_single_builds(self, N):
+        stack = self.stack(N)
+        assert stack.shape == (len(GRID), 2 * N, 2 * N)
+        for entries, point in zip(stack, GRID):
+            assert np.array_equal(entries, cv.build_resource(cv.ResourceSpec(N, *point)).entries)
+
+    @pytest.mark.parametrize("N", [2, 3, 4, 8, 20])
+    def test_teleported_variances_per_slice(self, N):
+        stack = self.stack(N)
+        for (sender, receiver), g in product(((0, 1), (N - 1, 0)), (0.0, 1.0, -0.7)):
+            var_x, var_p = cv.teleported_variances(stack, sender, receiver, g)
+            assert var_x.shape == var_p.shape == (len(GRID),)
+            for i, point in enumerate(GRID):
+                sigma = cv.build_resource(cv.ResourceSpec(N, *point))
+                one = cv.teleported_variances(sigma, sender, receiver, g)
+                assert (var_x[i], var_p[i]) == pytest.approx(one, rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("at", [0, 5, 11])  # 12 matrices: two Cholesky slices of 8
+    @pytest.mark.parametrize("case", sorted(ALONE))
+    def test_decides_and_words_as_alone(self, case, at):
+        m = ALONE[case]
+        stack = np.insert(physical_stack(len(m)), at, m, axis=0)
+        alone = outcome(lambda m: cv.CovarianceMatrix(m).entries, m)
+        stacked = outcome(cv.gaussian.validated, stack)
+        if isinstance(alone, str):
+            assert stacked == alone
+        else:
+            assert not isinstance(stacked, str), stacked
+            for got, one in zip(stacked, stack):
+                assert np.array_equal(got, cv.CovarianceMatrix(one).entries)
+
+    def test_any_leading_shape(self):
+        stack = physical_stack(6)[:10]
+        flat = cv.gaussian.validated(stack)
+        assert np.array_equal(cv.gaussian.validated(stack.reshape(2, 5, 6, 6)),
+                              flat.reshape(2, 5, 6, 6))
+        assert np.array_equal(cv.gaussian.validated(stack[0]), flat[0])
+
+    @pytest.mark.parametrize("shape", [(4,), (3, 4, 6), (3, 5, 5)])
+    def test_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match=r"^covariance matrix must be 2N x 2N, got shape"):
+            cv.gaussian.validated(np.ones(shape))
+
+    def test_covariance_matrix_takes_one_matrix(self):
+        with pytest.raises(ValueError, match=r"^covariance matrix must be 2N x 2N, "
+                                             r"got shape \(1, 4, 4\)$"):
+            cv.CovarianceMatrix(np.eye(4)[None])

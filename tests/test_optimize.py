@@ -212,6 +212,27 @@ class TestNumericalOptimum:
         cv.numerical_optimum(8, 1.5, 1.0, 1.0)
         assert 0 < len(calls) <= 100
 
+    @pytest.mark.parametrize("seed", ["42", "43"])
+    def test_work_per_verify_request(self, monkeypatch, seed):
+        """Counts, not clocks: verify's oracle suite makes 24 searches (4 N x 3 rbar
+        x 2 noise pairs) and 1,468 objective evaluations in them, whatever the seed."""
+        import contextlib
+        import io
+
+        import cvteleport.optimize as opt
+        from cvteleport import cli
+
+        calls, evals = [], []
+        numerical_optimum, search = cli.numerical_optimum, opt.golden_section
+        monkeypatch.setattr(cli, "numerical_optimum",
+                            lambda *args: calls.append(args) or numerical_optimum(*args))
+        monkeypatch.setattr(opt, "golden_section", lambda fn, lo, hi: search(
+            lambda x: evals.append(x) or fn(x), lo, hi))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["verify", "--samples", "1000000", "--seed", seed]) == 0
+        assert len(calls) == 24
+        assert len(evals) == 1468
+
 
 class TestWorstCase:
     def test_two_mode_symmetric_tie(self):
