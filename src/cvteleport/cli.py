@@ -196,7 +196,7 @@ def _verify_suites(seed: int, samples: int, inject_fault: bool) -> list[tuple[st
     import numpy as np
 
     from .entanglement import eta_generalized, eta_two_mode
-    from .gaussian import build_resource, resource_entries, validated
+    from .gaussian import resource_entries, validated
     from .localize import localize
     from .mc import McConfig, form_variances, pair_forms, simulate
     from .teleport import teleported_variances
@@ -230,15 +230,14 @@ def _verify_suites(seed: int, samples: int, inject_fault: bool) -> list[tuple[st
                     dev = max(dev, abs(num.g_opt - g_N_opt(N, n1, n2, rbar)))
     suites.append(("numerical optimizer vs closed forms", dev, 1e-8))
 
-    # dense homodyne localization vs eta_N
+    # dense homodyne localization vs eta_N, built, localized and validated as one stack per N
     dev = 0.0
     for N in (3, 4, 8):
-        for rbar in (0.25, 0.5, 1.0):
-            for n1, n2 in ((1.0, 1.0), (1.5, 1.0)):
-                spec = ResourceSpec(N, n1, n2, rbar, d_N_opt(N, n1, n2, rbar),
-                                    constrain_bias=False)
-                eta_loc = eta_two_mode(localize(build_resource(spec)).cm)
-                dev = max(dev, abs(eta_loc - eta_generalized(spec)))
+        specs = [ResourceSpec(N, n1, n2, rbar, d_N_opt(N, n1, n2, rbar), constrain_bias=False)
+                 for rbar in (0.25, 0.5, 1.0) for n1, n2 in ((1.0, 1.0), (1.5, 1.0))]
+        stack = validated(resource_entries(N, np.array([spec.variances for spec in specs]).T))
+        eta_loc = eta_two_mode(localize(stack).cm)
+        dev = max(dev, float(np.abs(eta_loc - [eta_generalized(spec) for spec in specs]).max()))
     suites.append(("homodyne localization vs eta_N", dev, 1e-9))
 
     # Monte Carlo vs analytic, in standard-error units

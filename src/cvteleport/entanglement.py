@@ -40,14 +40,17 @@ class EntanglementReport:
     E_tau: float | None
 
 
-def eta_two_mode(sigma: CovarianceMatrix) -> float:
+def eta_two_mode(sigma):
     """Smallest symplectic eigenvalue of the partial transpose of a two-mode CM,
-    from ``symplectic_eigenvalues`` of the time-reversed second mode."""
+    from ``symplectic_eigenvalues`` of the time-reversed second mode; a float, or
+    an array for a (..., 4, 4) stack of entries."""
     from .gaussian import partial_transpose, symplectic_eigenvalues
 
-    if sigma.n_modes != 2:
-        raise ValueError(f"expected a two-mode state, got {sigma.n_modes} modes")
-    return float(symplectic_eigenvalues(partial_transpose(sigma, (1,)))[0])
+    n_modes = getattr(sigma, "entries", sigma).shape[-1] // 2
+    if n_modes != 2:
+        raise ValueError(f"expected a two-mode state, got {n_modes} modes")
+    eta = symplectic_eigenvalues(partial_transpose(sigma, (1,)))[..., 0]
+    return float(eta) if eta.ndim == 0 else eta
 
 
 def eta_closed_form(n1: float, n2: float, r1: float, r2: float) -> float:

@@ -7,8 +7,10 @@ Conventions used throughout the package:
   so a state is physical iff every symplectic eigenvalue is >= 1
 * the N-splitter is one N x N Helmert matrix on x and p alike, applied per
   quadrature by ``resource_entries``
-* ``resource_entries`` builds and ``validated`` checks a stack of matrices;
-  ``build_resource`` and ``CovarianceMatrix`` are their one-matrix case
+* every function here takes a (..., 2N, 2N) stack: ``resource_entries`` builds
+  and ``validated`` checks one, and the spectrum and partial transpose act per
+  slice; ``build_resource``, ``CovarianceMatrix`` and a single matrix are the
+  one-matrix case
 
 This is the package's numpy layer: it is imported only by routes that build
 or read a covariance matrix.  ``ResourceSpec`` is defined in the pure-Python
@@ -188,40 +190,45 @@ def build_resource(spec: ResourceSpec) -> CovarianceMatrix:
 
 
 def symplectic_eigenvalues(sigma) -> np.ndarray:
-    """Symplectic spectrum of a positive-definite CM-shaped matrix, sorted ascending.
+    """Symplectic spectrum of each positive-definite CM-shaped matrix of a
+    (..., 2N, 2N) stack, sorted ascending along the last axis.
 
     With sigma = L L^T (Cholesky), Omega sigma is similar to the real
     skew-symmetric L^T Omega L, whose singular values are the N symplectic
     eigenvalues, each twice; the pairs are collapsed to one value.  Accepts a
-    CovarianceMatrix or a raw symmetric matrix: a partial transpose Lambda
+    CovarianceMatrix or raw symmetric matrices: a partial transpose Lambda
     sigma Lambda is congruent to sigma, so it is positive definite too.
-    Raises ValueError if the matrix is not positive definite.
+    Raises ValueError if a matrix is not positive definite.
     """
     m = sigma.entries if isinstance(sigma, CovarianceMatrix) else np.asarray(sigma, float)
     try:
         L = np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
         raise ValueError("covariance matrix is not positive definite") from None
-    nu = np.linalg.svd(L.T @ omega(m.shape[0] // 2) @ L, compute_uv=False)[::-1]
-    return 0.5 * (nu[0::2] + nu[1::2])  # collapse the degenerate pairs
+    skew = np.swapaxes(L, -1, -2) @ omega(m.shape[-1] // 2) @ L
+    nu = np.linalg.svd(skew, compute_uv=False)[..., ::-1]
+    return 0.5 * (nu[..., 0::2] + nu[..., 1::2])  # collapse the degenerate pairs
 
 
-def partial_transpose(sigma: CovarianceMatrix, modes) -> np.ndarray:
-    """Time reversal (p -> -p) on the selected modes: returns Lambda sigma Lambda.
+def partial_transpose(sigma, modes) -> np.ndarray:
+    """Time reversal (p -> -p) on the selected modes of a CovarianceMatrix or of
+    each matrix of a (..., 2N, 2N) stack: returns Lambda sigma Lambda.
 
-    The result is a plain matrix because it is generally not a physical state;
+    The result is plain matrices because it is generally not a physical state;
     its symplectic spectrum dropping below 1 is exactly the entanglement
     witness.
     """
+    m = np.asarray(getattr(sigma, "entries", sigma), float)
+    n_modes = m.shape[-1] // 2
     modes = sorted(set(modes))
-    if not modes or len(modes) >= sigma.n_modes:
+    if not modes or len(modes) >= n_modes:
         raise ValueError("modes must be a non-empty proper subset of the state's modes")
-    if modes[0] < 0 or modes[-1] >= sigma.n_modes:
+    if modes[0] < 0 or modes[-1] >= n_modes:
         raise ValueError(f"mode indices {modes} out of range")
-    lam = np.ones(2 * sigma.n_modes)
-    for m in modes:
-        lam[2 * m + 1] = -1.0
-    return sigma.entries * np.outer(lam, lam)
+    lam = np.ones(2 * n_modes)
+    for j in modes:
+        lam[2 * j + 1] = -1.0
+    return m * np.outer(lam, lam)
 
 
 def purity(sigma: CovarianceMatrix) -> float:

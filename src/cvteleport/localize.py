@@ -5,8 +5,9 @@ matrix of the remaining modes by a Schur complement that is independent of
 the measurement outcomes.  Conditioning away all but two modes of the symmetric
 resource "localizes" the multipartite entanglement into a two-mode state whose
 PPT eigenvalue equals the generalized eigenvalue eta_N.  ``homodyne_condition``
-and ``localize`` act on any covariance matrix; ``localizable_eta`` is their
-closed form on the structured symmetric resource.
+and ``localize`` act on any covariance matrix, or on a (..., 2N, 2N) stack with
+one batched solve and one validation; ``localizable_eta`` is their closed form
+on the structured symmetric resource.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class ConditionalState:
-    """Post-measurement state of the unmeasured modes.
+    """Post-measurement state of the unmeasured modes: a CovarianceMatrix, or for a
+    (..., 2N, 2N) stack the validated stack of conditioned entries.
 
     measured_modes are indices of the *original* state, in measurement order;
     quadratures holds the matching 'x'/'p' labels.
@@ -35,49 +37,60 @@ class ConditionalState:
     quadratures: tuple[str, ...]
 
 
-def _condition(sigma: CovarianceMatrix, modes: tuple, quadrature: str) -> ConditionalState:
+def _n_modes(sigma) -> int:
+    return getattr(sigma, "entries", sigma).shape[-1] // 2
+
+
+def _condition(sigma, modes: tuple, quadrature: str) -> ConditionalState:
     """Condition on ideal homodyne detection of one quadrature on each of ``modes``.
 
     With sigma partitioned into the unmeasured modes' block A, the measured
     quadratures' block B and their correlations C, the output is the Schur
-    complement A - C B^-1 C^T, independent of the outcomes; it is validated once.
+    complement A - C B^-1 C^T, independent of the outcomes; one batched solve
+    and one validation serve a whole stack.
     """
     import numpy as np
 
-    from .gaussian import CovarianceMatrix
+    from . import gaussian
 
+    m = np.asarray(getattr(sigma, "entries", sigma), float)
     measured = [2 * j + (quadrature == "p") for j in modes]
     gone = {2 * j + q for j in modes for q in (0, 1)}
-    keep = [i for i in range(2 * sigma.n_modes) if i not in gone]
-    m = sigma.entries
-    c = m[np.ix_(keep, measured)]
-    out = m[np.ix_(keep, keep)] - c @ np.linalg.solve(m[np.ix_(measured, measured)], c.T)
-    return ConditionalState(CovarianceMatrix(0.5 * (out + out.T)), tuple(modes),
-                            (quadrature,) * len(modes))
+    keep = [i for i in range(m.shape[-1]) if i not in gone]
+    A, B, C = (m[(..., *np.ix_(rows, cols))]
+               for rows, cols in ((keep, keep), (measured, measured), (keep, measured)))
+    out = A - C @ np.linalg.solve(B, np.swapaxes(C, -1, -2))
+    out = 0.5 * (out + np.swapaxes(out, -1, -2))
+    cm = gaussian.CovarianceMatrix(out) if out.ndim == 2 else gaussian.validated(out)
+    return ConditionalState(cm, tuple(modes), (quadrature,) * len(modes))
 
 
-def homodyne_condition(sigma: CovarianceMatrix, mode: int, quadrature: str = "p") -> ConditionalState:
-    """Condition on an ideal homodyne detection of one quadrature of one mode:
-    the rank-1 Schur complement A - c c^T / B_qq."""
-    if sigma.n_modes < 2:
+def homodyne_condition(sigma, mode: int, quadrature: str = "p") -> ConditionalState:
+    """Condition a CovarianceMatrix, or each matrix of a (..., 2N, 2N) stack, on an
+    ideal homodyne detection of one quadrature of one mode: the rank-1 Schur
+    complement A - c c^T / B_qq."""
+    n_modes = _n_modes(sigma)
+    if n_modes < 2:
         raise ValueError("need at least two modes to condition")
-    if not 0 <= mode < sigma.n_modes:
-        raise ValueError(f"mode {mode} out of range for {sigma.n_modes} modes")
+    if not 0 <= mode < n_modes:
+        raise ValueError(f"mode {mode} out of range for {n_modes} modes")
     if quadrature not in ("x", "p"):
         raise ValueError(f"quadrature must be 'x' or 'p', got {quadrature!r}")
     return _condition(sigma, (mode,), quadrature)
 
 
-def localize(sigma: CovarianceMatrix, keep: tuple[int, int] = (0, 1)) -> ConditionalState:
+def localize(sigma, keep: tuple[int, int] = (0, 1)) -> ConditionalState:
     """Momentum-detect every mode except the kept pair, in one Schur complement
-    against their p block; ``measured_modes`` lists them in descending order.
+    against their p block, on a CovarianceMatrix or each matrix of a (..., 2N, 2N)
+    stack; ``measured_modes`` lists them in descending order.
     """
+    n_modes = _n_modes(sigma)
     k, l = keep
-    if k == l or not (0 <= k < sigma.n_modes and 0 <= l < sigma.n_modes):
-        raise ValueError(f"invalid kept pair {keep} for {sigma.n_modes} modes")
-    if sigma.n_modes < 3:
+    if k == l or not (0 <= k < n_modes and 0 <= l < n_modes):
+        raise ValueError(f"invalid kept pair {keep} for {n_modes} modes")
+    if n_modes < 3:
         raise ValueError("localization needs at least three modes")
-    measured = sorted(set(range(sigma.n_modes)) - {k, l}, reverse=True)
+    measured = sorted(set(range(n_modes)) - {k, l}, reverse=True)
     return _condition(sigma, tuple(measured), "p")
 
 

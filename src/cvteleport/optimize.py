@@ -44,7 +44,8 @@ def optimal_fidelity(
 def golden_section(fn: Callable[[float], float], lo: float, hi: float) -> float:
     """Minimize a unimodal scalar function by golden-section search.
 
-    Finishes with one parabolic refinement step so analytic minima are located
+    Narrows the bracket to 1e-3 relative (at least 1e-3 wide), then takes three
+    parabolic steps, each converging like Newton's, so analytic minima are located
     well below the flatness floor of pure bracketing.
     """
     if not (math.isfinite(fn(lo)) and math.isfinite(fn(hi))):
@@ -53,7 +54,7 @@ def golden_section(fn: Callable[[float], float], lo: float, hi: float) -> float:
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = fn(c), fn(d)
-    while b - a > max(1e-11, 1e-10 * (abs(a) + abs(b))):
+    while b - a > 1e-3 * max(1.0, abs(a) + abs(b)):
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - _GOLDEN * (b - a)
@@ -63,14 +64,13 @@ def golden_section(fn: Callable[[float], float], lo: float, hi: float) -> float:
             d = a + _GOLDEN * (b - a)
             fd = fn(d)
     m = 0.5 * (a + b)
-    # parabolic vertex through (m-h, m, m+h); curvature dominates rounding noise
-    h = max(1e-5, 1e-5 * abs(m))
-    f0, fm, f1 = fn(m - h), fn(m), fn(m + h)
-    denom = f0 - 2.0 * fm + f1
-    if denom > 0.0:
-        step = 0.5 * h * (f0 - f1) / denom
-        if abs(step) < h:
-            m += step
+    for _ in range(3):
+        # parabolic vertex through (m-h, m, m+h); curvature dominates rounding noise
+        h = max(1e-5, 1e-5 * abs(m))
+        f0, fm, f1 = fn(m - h), fn(m), fn(m + h)
+        denom = f0 - 2.0 * fm + f1
+        if denom > 0.0:
+            m = min(max(m + 0.5 * h * (f0 - f1) / denom, a), b)  # stays in the bracket
     return min(max(m, lo), hi)
 
 

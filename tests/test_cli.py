@@ -387,7 +387,8 @@ class TestVerifyCommand:
     def test_validations_per_request(self, capsys, monkeypatch):
         """Counts, not clocks: every matrix goes through the validation kernel once.
         Suite 1 passes one stack of 48 resources per N (5 calls, 240 matrices);
-        suite 3 passes its 18 built resources and 18 localized states one by one."""
+        suite 3 passes, per N, one stack of its 6 built resources and one of their
+        6 localized states (6 calls, 36 matrices)."""
         stacks = []
         validated = cv.gaussian.validated
 
@@ -399,8 +400,8 @@ class TestVerifyCommand:
         code, _, _ = run(capsys, "verify", "--samples", "1000000", "--seed", "42")
         assert code == 0
         assert sum(math.prod(shape) for shape in stacks) == 276
-        assert len(stacks) == 41
-        assert sorted(stacks) == [()] * 36 + [(48,)] * 5
+        assert len(stacks) == 11
+        assert sorted(stacks) == [(6,)] * 6 + [(48,)] * 5
 
     def test_pull_back_suite_sees_a_p_variance_off_by_1e_9(self, capsys, monkeypatch):
         """The exact check that the sampler's power reduces to trips at 1 + 1e-9,

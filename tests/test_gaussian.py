@@ -503,9 +503,49 @@ def outcome(validate, m):
         return str(error)
 
 
+def localization_stack(N):
+    """verify's localization grid at N: six resources at d_N_opt, built as one stack."""
+    specs = [cv.ResourceSpec(N, n1, n2, rbar, cv.d_N_opt(N, n1, n2, rbar), constrain_bias=False)
+             for rbar in (0.25, 0.5, 1.0) for n1, n2 in ((1.0, 1.0), (1.5, 1.0))]
+    return cv.gaussian.validated(
+        cv.gaussian.resource_entries(N, np.array([spec.variances for spec in specs]).T))
+
+
+def random_stack(N, k=12):
+    """k random physical states of N modes, x-p correlated: spectra in [1, 3), random
+    splitters and squeezers, then a random phase rotation of every mode."""
+    rng = np.random.default_rng(50 + N)
+    out = []
+    for _ in range(k):
+        phase = np.zeros((2 * N, 2 * N))
+        for j, t in enumerate(rng.uniform(0.0, np.pi, N)):
+            phase[2 * j:2 * j + 2, 2 * j:2 * j + 2] = [[np.cos(t), np.sin(t)],
+                                                       [-np.sin(t), np.cos(t)]]
+        S = phase @ random_symplectic(N, rng)
+        out.append(S @ np.diag(np.repeat(rng.uniform(1.0, 3.0, N), 2)) @ S.T)
+    return cv.gaussian.validated(np.array(out))
+
+
+def as_entries(state):
+    return getattr(state, "entries", state)
+
+
+# each stack-native dense function: (least modes, the call on a stack or on one matrix)
+DENSE = {
+    "symplectic_eigenvalues": (1, cv.symplectic_eigenvalues),
+    "partial_transpose": (2, lambda m: cv.partial_transpose(m, (0,))),
+    "homodyne_condition": (2, lambda m: as_entries(cv.homodyne_condition(m, 1, "x").cm)),
+    "localize": (3, lambda m: as_entries(cv.localize(m, (2, 0)).cm)),
+    "eta_two_mode": (2, lambda m: cv.eta_two_mode(
+        m if as_entries(m).shape[-1] == 4 else cv.localize(m).cm)),
+}
+
+
 class TestStackedKernels:
-    """``resource_entries`` and ``validated`` over a stack give, matrix by matrix,
-    what ``build_resource`` and ``CovarianceMatrix`` give for one matrix."""
+    """``resource_entries``, ``validated`` and the stack-native dense functions give over
+    a stack, matrix by matrix and bit for bit, what ``build_resource``,
+    ``CovarianceMatrix`` and the functions give for one matrix: a single matrix is the
+    k = 1 case."""
 
     VARIANCES = np.array([cv.ResourceSpec(2, *point).variances for point in GRID]).T
 
@@ -560,3 +600,47 @@ class TestStackedKernels:
         with pytest.raises(ValueError, match=r"^covariance matrix must be 2N x 2N, "
                                              r"got shape \(1, 4, 4\)$"):
             cv.CovarianceMatrix(np.eye(4)[None])
+
+    @pytest.mark.parametrize("name, states, N", [
+        *((name, "verify", N) for name in sorted(DENSE) for N in (3, 4, 8)),
+        *((name, "random", N) for name in sorted(DENSE) for N in (2, 3, 5) if N >= DENSE[name][0]),
+    ])
+    def test_slices_are_the_single_calls(self, name, states, N):
+        fn = DENSE[name][1]
+        stack = (localization_stack if states == "verify" else random_stack)(N)
+        got = fn(stack)
+        assert len(got) == len(stack)
+        for one, sigma in zip(got, stack):
+            assert np.array_equal(one, fn(cv.CovarianceMatrix(sigma)))
+
+    @pytest.mark.parametrize("name", sorted(DENSE))
+    def test_dense_any_leading_shape(self, name):
+        fn = DENSE[name][1]
+        stack = random_stack(3)
+        flat = fn(stack)
+        assert np.array_equal(fn(stack.reshape(3, 4, 6, 6)), flat.reshape(3, 4, *flat.shape[1:]))
+        assert np.array_equal(fn(stack[:1]), flat[:1])
+        assert np.array_equal(fn(stack[0]), flat[0])
+
+    def test_eta_two_mode_returns_a_float_for_one_matrix(self):
+        sigma = random_stack(2)[0]
+        assert type(cv.eta_two_mode(sigma)) is type(cv.eta_two_mode(cv.CovarianceMatrix(sigma))) \
+            is float
+
+    # a matrix each function rejects: not positive definite, or conditioned to an
+    # unphysical or indefinite state (a partial transpose rejects nothing)
+    REJECTED = {
+        "symplectic_eigenvalues": np.diag([1.0, 1.0, 1.0, -1.0, 1.0, 1.0]),
+        "homodyne_condition": 0.5 * np.eye(6),
+        "localize": np.diag([1.0, 1.0, 1.0, 1.0, -1.0, 1.0]),
+        "eta_two_mode": np.diag([1.0, 1.0, -1.0, 1.0]),
+    }
+
+    @pytest.mark.parametrize("at", [0, 5, 11])
+    @pytest.mark.parametrize("name", sorted(REJECTED))
+    def test_rejected_slice_words_as_alone(self, name, at):
+        fn, bad = DENSE[name][1], self.REJECTED[name]
+        alone = outcome(fn, bad)
+        assert isinstance(alone, str), alone
+        stack = np.insert(random_stack(len(bad) // 2, 11), at, bad, axis=0)
+        assert outcome(fn, stack) == alone
