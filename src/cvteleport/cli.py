@@ -18,8 +18,8 @@ from dataclasses import asdict, replace
 from . import __version__
 from .entanglement import entanglement_of_teleportation, entanglement_report, eof_symmetric
 from .localize import localizable_report
-from .optimize import d_N_opt, g_N_opt, numerical_optimum, optimal_fidelity
-from .structured import IsoEntangledClass, ResourceSpec, network_variances
+from .optimize import d_N_opt, numerical_optimum, optimal_fidelity
+from .structured import IsoEntangledClass, ResourceSpec, input_variances, network_variances
 from .teleport import ProtocolParams, fidelity_network
 
 SWEEP_COLUMNS = [
@@ -195,8 +195,8 @@ def _verify_suites(seed: int, samples: int, inject_fault: bool) -> list[tuple[st
     loads numpy, through the dense layer and the Monte Carlo sampler."""
     import numpy as np
 
-    from .entanglement import eta_generalized, eta_two_mode
-    from .gaussian import resource_entries, validated
+    from .entanglement import eta_two_mode
+    from .gaussian import resource_blocks, validated
     from .localize import localize
     from .mc import McConfig, form_variances, pair_forms, simulate
     from .teleport import teleported_variances
@@ -204,15 +204,17 @@ def _verify_suites(seed: int, samples: int, inject_fault: bool) -> list[tuple[st
     suites = []
 
     # closed-form variances vs covariance-matrix pipeline, on a grid of (n1, n2, rbar, d),
-    # built and validated as one stack per N; the inputs' variances do not depend on N
+    # built and validated as one stack of x and p blocks per N; the inputs' variances do
+    # not depend on N
     grid = [(n1, n2, rbar, dfrac * rbar) for rbar in (0.0, 0.5, 1.0, 2.0)
             for n1 in (1.0, 2.0) for n2 in (1.0, 2.0) for dfrac in (-0.5, 0.0, 0.5)]
-    variances = np.array([ResourceSpec(2, *point).variances for point in grid]).T
+    variances = np.array([input_variances(n1, n2, rbar + d, rbar - d)
+                          for n1, n2, rbar, d in grid]).T
     dev = 0.0
     for N in (2, 3, 4, 8, 20):
-        stack = validated(resource_entries(N, variances))
+        blocks = validated(resource_blocks(N, variances))
         for g in (0.0, 1.0):
-            vx, vp = teleported_variances(stack, 0, 1, g)
+            vx, vp = teleported_variances(blocks, 0, 1, g)
             cx, cp = network_variances(N, variances, g)
             dev = max(dev, np.abs(vx - cx).max(), np.abs(vp - cp).max())
     if inject_fault:
@@ -224,20 +226,22 @@ def _verify_suites(seed: int, samples: int, inject_fault: bool) -> list[tuple[st
     for N in (2, 3, 8, 50):
         for rbar in (0.25, 1.0, 2.0):
             for n1, n2 in ((1.0, 1.0), (2.0, 1.5)):
-                num = numerical_optimum(N, n1, n2, rbar)
-                dev = max(dev, abs(num.d_opt - d_N_opt(N, n1, n2, rbar)))
+                num, iso = numerical_optimum(N, n1, n2, rbar), IsoEntangledClass(N, n1, n2, rbar)
+                dev = max(dev, abs(num.d_opt - iso.d_opt))
                 if N > 2:
-                    dev = max(dev, abs(num.g_opt - g_N_opt(N, n1, n2, rbar)))
+                    dev = max(dev, abs(num.g_opt - iso.g_opt))
     suites.append(("numerical optimizer vs closed forms", dev, 1e-8))
 
-    # dense homodyne localization vs eta_N, built, localized and validated as one stack per N
+    # dense homodyne localization vs eta_N, built, localized and validated as one stack of
+    # x and p blocks per N
     dev = 0.0
     for N in (3, 4, 8):
-        specs = [ResourceSpec(N, n1, n2, rbar, d_N_opt(N, n1, n2, rbar), constrain_bias=False)
-                 for rbar in (0.25, 0.5, 1.0) for n1, n2 in ((1.0, 1.0), (1.5, 1.0))]
-        stack = validated(resource_entries(N, np.array([spec.variances for spec in specs]).T))
-        eta_loc = eta_two_mode(localize(stack).cm)
-        dev = max(dev, float(np.abs(eta_loc - [eta_generalized(spec) for spec in specs]).max()))
+        isos = [IsoEntangledClass(N, n1, n2, rbar)
+                for rbar in (0.25, 0.5, 1.0) for n1, n2 in ((1.0, 1.0), (1.5, 1.0))]
+        inputs = np.array([input_variances(iso.n1, iso.n2, iso.rbar + iso.d_opt,
+                                           iso.rbar - iso.d_opt) for iso in isos]).T
+        eta_loc = eta_two_mode(localize(validated(resource_blocks(N, inputs))).cm)
+        dev = max(dev, float(np.abs(eta_loc - [iso.eta_N for iso in isos]).max()))
     suites.append(("homodyne localization vs eta_N", dev, 1e-9))
 
     # Monte Carlo vs analytic, in standard-error units

@@ -43,10 +43,10 @@ class EntanglementReport:
 def eta_two_mode(sigma):
     """Smallest symplectic eigenvalue of the partial transpose of a two-mode CM,
     from ``symplectic_eigenvalues`` of the time-reversed second mode; a float, or
-    an array for a (..., 4, 4) stack of entries."""
+    an array for a (..., 4, 4) stack of entries or an XPBlocks of (..., 2, 2) blocks."""
     from .gaussian import partial_transpose, symplectic_eigenvalues
 
-    n_modes = getattr(sigma, "entries", sigma).shape[-1] // 2
+    n_modes = getattr(sigma, "n_modes", None) or sigma.shape[-1] // 2
     if n_modes != 2:
         raise ValueError(f"expected a two-mode state, got {n_modes} modes")
     eta = symplectic_eigenvalues(partial_transpose(sigma, (1,)))[..., 0]

@@ -5,9 +5,9 @@ matrix of the remaining modes by a Schur complement that is independent of
 the measurement outcomes.  Conditioning away all but two modes of the symmetric
 resource "localizes" the multipartite entanglement into a two-mode state whose
 PPT eigenvalue equals the generalized eigenvalue eta_N.  ``homodyne_condition``
-and ``localize`` act on any covariance matrix, or on a (..., 2N, 2N) stack with
-one batched solve and one validation; ``localizable_eta`` is their closed form
-on the structured symmetric resource.
+and ``localize`` act on any covariance matrix, on a (..., 2N, 2N) stack or on
+``gaussian.XPBlocks``, with one batched solve and one validation;
+``localizable_eta`` is their closed form on the structured symmetric resource.
 """
 
 from __future__ import annotations
@@ -25,8 +25,9 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class ConditionalState:
-    """Post-measurement state of the unmeasured modes: a CovarianceMatrix, or for a
-    (..., 2N, 2N) stack the validated stack of conditioned entries.
+    """Post-measurement state of the unmeasured modes: a CovarianceMatrix; for a
+    (..., 2N, 2N) stack the validated stack of conditioned entries; for an XPBlocks
+    the validated conditioned blocks.
 
     measured_modes are indices of the *original* state, in measurement order;
     quadratures holds the matching 'x'/'p' labels.
@@ -38,37 +39,58 @@ class ConditionalState:
 
 
 def _n_modes(sigma) -> int:
-    return getattr(sigma, "entries", sigma).shape[-1] // 2
+    return getattr(sigma, "n_modes", None) or sigma.shape[-1] // 2
+
+
+def _schur(m, keep: list, measured: list):
+    """A - C B^-1 C^T, symmetrized, with A = m[keep, keep], B = m[measured, measured]
+    and C = m[keep, measured] for each matrix of the stack m; one batched solve."""
+    import numpy as np
+
+    rows = m.take(keep, -2)
+    A, C = rows.take(keep, -1), rows.take(measured, -1)
+    out = A - C @ np.linalg.solve(m.take(measured, -2).take(measured, -1), np.swapaxes(C, -1, -2))
+    return 0.5 * (out + np.swapaxes(out, -1, -2))
 
 
 def _condition(sigma, modes: tuple, quadrature: str) -> ConditionalState:
     """Condition on ideal homodyne detection of one quadrature on each of ``modes``.
 
-    With sigma partitioned into the unmeasured modes' block A, the measured
-    quadratures' block B and their correlations C, the output is the Schur
-    complement A - C B^-1 C^T, independent of the outcomes; one batched solve
-    and one validation serve a whole stack.
+    The output is a Schur complement, independent of the outcomes.  Without x-p
+    correlations (``gaussian.xp_free``) it is taken on the measured quadrature's
+    N x N block, and the other block loses the measured rows and columns; with
+    them, on the 2N x 2N matrix, against the measured quadratures.  One batched
+    solve and one validation serve a whole stack.
     """
     import numpy as np
 
     from . import gaussian
 
-    m = np.asarray(getattr(sigma, "entries", sigma), float)
-    measured = [2 * j + (quadrature == "p") for j in modes]
-    gone = {2 * j + q for j in modes for q in (0, 1)}
-    keep = [i for i in range(m.shape[-1]) if i not in gone]
-    A, B, C = (m[(..., *np.ix_(rows, cols))]
-               for rows, cols in ((keep, keep), (measured, measured), (keep, measured)))
-    out = A - C @ np.linalg.solve(B, np.swapaxes(C, -1, -2))
-    out = 0.5 * (out + np.swapaxes(out, -1, -2))
-    cm = gaussian.CovarianceMatrix(out) if out.ndim == 2 else gaussian.validated(out)
+    if gaussian.xp_free(sigma):
+        xp = gaussian.quadrature_blocks(sigma).xp
+        keep = [j for j in range(xp.shape[-1]) if j not in modes]
+        q = int(quadrature == "p")
+        out = xp.take(keep, -2).take(keep, -1)  # both blocks lose the measured modes
+        out[q] = _schur(xp[q], keep, list(modes))
+        out = gaussian.XPBlocks(out)
+        if not isinstance(sigma, gaussian.XPBlocks):
+            out = gaussian.interleaved(out)
+    else:
+        m = np.asarray(getattr(sigma, "entries", sigma), float)
+        gone = {2 * j + q for j in modes for q in (0, 1)}
+        out = _schur(m, [i for i in range(m.shape[-1]) if i not in gone],
+                     [2 * j + (quadrature == "p") for j in modes])
+    if isinstance(out, np.ndarray) and out.ndim == 2:
+        cm = gaussian.CovarianceMatrix(out)
+    else:
+        cm = gaussian.validated(out)
     return ConditionalState(cm, tuple(modes), (quadrature,) * len(modes))
 
 
 def homodyne_condition(sigma, mode: int, quadrature: str = "p") -> ConditionalState:
-    """Condition a CovarianceMatrix, or each matrix of a (..., 2N, 2N) stack, on an
-    ideal homodyne detection of one quadrature of one mode: the rank-1 Schur
-    complement A - c c^T / B_qq."""
+    """Condition a CovarianceMatrix, each matrix of a (..., 2N, 2N) stack or an
+    XPBlocks on an ideal homodyne detection of one quadrature of one mode: the
+    rank-1 Schur complement A - c c^T / B_qq."""
     n_modes = _n_modes(sigma)
     if n_modes < 2:
         raise ValueError("need at least two modes to condition")
@@ -81,8 +103,8 @@ def homodyne_condition(sigma, mode: int, quadrature: str = "p") -> ConditionalSt
 
 def localize(sigma, keep: tuple[int, int] = (0, 1)) -> ConditionalState:
     """Momentum-detect every mode except the kept pair, in one Schur complement
-    against their p block, on a CovarianceMatrix or each matrix of a (..., 2N, 2N)
-    stack; ``measured_modes`` lists them in descending order.
+    against their p block, on a CovarianceMatrix, each matrix of a (..., 2N, 2N)
+    stack or an XPBlocks; ``measured_modes`` lists them in descending order.
     """
     n_modes = _n_modes(sigma)
     k, l = keep

@@ -82,16 +82,17 @@ def numerical_optimum(N: int, n1: float, n2: float, rbar: float) -> Optimization
     """
     iso = IsoEntangledClass(N, n1, n2, rbar)  # validates; only its eta_N is reported
 
+    def phi_m1(v: tuple, g: float) -> float:  # phi - 1 without the 1: precise where phi ~ 1
+        vx, vp = network_variances(N, v, g)
+        return (vx + vp) / 2.0 + vx * vp / 4.0
+
     def best(d: float) -> tuple[float, float]:
         v = input_variances(n1, n2, rbar + d, rbar - d)
-        def phi_m1(g: float) -> float:  # phi - 1 without the 1: precise where phi ~ 1
-            vx, vp = network_variances(N, v, g)
-            return (vx + vp) / 2.0 + vx * vp / 4.0
         if N == 2:
-            return 1.0, phi_m1(1.0)  # gain term has coefficient N-2 = 0
-        lo, mid, hi = (phi_m1(g) for g in (-1.0, 0.0, 1.0))
+            return 1.0, phi_m1(v, 1.0)  # gain term has coefficient N-2 = 0
+        lo, mid, hi = phi_m1(v, -1.0), phi_m1(v, 0.0), phi_m1(v, 1.0)
         g = (lo - hi) / (2.0 * (lo - 2.0 * mid + hi))
-        return g, phi_m1(g)
+        return g, phi_m1(v, g)
 
     d_star = golden_section(lambda d: best(d)[1], -rbar - 2.0, rbar + 2.0)
     g_star, phi_star_m1 = best(d_star)

@@ -2,8 +2,8 @@
 
 Two independent routes to the same numbers:
 
-* the general path -- quadratic forms of x_rel = x_k - x_l and
-  p_tot = p_k + p_l + g * sum_{j != k,l} p_j on any covariance matrix
+* the general path -- quadratic forms of x_rel = x_k - x_l on sigma_x and
+  p_tot = p_k + p_l + g * sum_{j != k,l} p_j on sigma_p, for any covariance matrix
 * closed forms on the structured symmetric resource (four input variances,
   ``structured.network_variances``), used by ``fidelity_network`` and
   cross-checked against the general path in the test suite
@@ -60,24 +60,26 @@ def teleported_variances(
     sigma: CovarianceMatrix, sender: int, receiver: int, gain: float
 ) -> tuple[float, float]:
     """Variances of x_rel and p_tot as quadratic forms on the resource CM; on a
-    validated (k, 2N, 2N) stack of entries (``gaussian.validated``), arrays of k."""
+    validated (k, 2N, 2N) stack of entries or an XPBlocks of (k, N, N) blocks
+    (``gaussian.validated``), arrays of k.  x_rel has no p entries and p_tot no x
+    entries, so for any state they read sigma_x and sigma_p only."""
     import numpy as np
 
-    m = getattr(sigma, "entries", sigma)
-    N = m.shape[-1] // 2
+    from .gaussian import quadrature_blocks
+
+    b = quadrature_blocks(sigma)
+    N = b.n_modes
     if not (0 <= sender < N and 0 <= receiver < N) or sender == receiver:
         raise ValueError(f"invalid sender/receiver pair ({sender}, {receiver}) for {N} modes")
     if not math.isfinite(gain):
         raise ValueError(f"gain must be finite, got {gain}")
-    u = np.zeros(2 * N)
-    v = np.zeros(2 * N)
-    u[2 * sender] = 1.0
-    u[2 * receiver] = -1.0
-    v[1::2] = gain
-    v[2 * sender + 1] = 1.0
-    v[2 * receiver + 1] = 1.0
-    var_x, var_p = u @ m @ u, v @ m @ v
-    return (float(var_x), float(var_p)) if m.ndim == 2 else (var_x, var_p)
+    w = np.zeros((2, N))  # x_rel's weights on sigma_x, p_tot's on sigma_p
+    w[0, sender], w[0, receiver] = 1.0, -1.0
+    w[1] = gain
+    w[1, sender] = w[1, receiver] = 1.0
+    # explicit sums: a BLAS matrix-vector product rounds by the blocks' memory alignment
+    var_x, var_p = np.einsum("q...ij,qi,qj->q...", b.xp, w, w)
+    return (float(var_x), float(var_p)) if b.x.ndim == 2 else (var_x, var_p)
 
 
 def _checked_gain(spec: ResourceSpec, params: ProtocolParams) -> float:

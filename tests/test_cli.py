@@ -385,23 +385,36 @@ class TestVerifyCommand:
         assert len(out.splitlines()) == 6  # five suites, then the verdict
 
     def test_validations_per_request(self, capsys, monkeypatch):
-        """Counts, not clocks: every matrix goes through the validation kernel once.
-        Suite 1 passes one stack of 48 resources per N (5 calls, 240 matrices);
-        suite 3 passes, per N, one stack of its 6 built resources and one of their
-        6 localized states (6 calls, 36 matrices)."""
-        stacks = []
-        validated = cv.gaussian.validated
+        """Counts, not clocks: every matrix goes through the validation kernel once, as
+        its x and p blocks.  Suite 1 passes one XPBlocks of 48 resources per N (5 calls,
+        240 matrices); suite 3 passes, per N, one of its 6 built resources and one of
+        their 6 localized states (6 calls, 36 matrices).  Each call runs one block check
+        over its whole stack, and no matrix takes the general 2N x 2N route."""
+        gaussian = cv.gaussian
+        stacks, checks = [], []
+        validated, check_blocks = gaussian.validated, gaussian._check_blocks
 
         def counting(m):
-            stacks.append(np.shape(m)[:-2])
+            assert isinstance(m, gaussian.XPBlocks), type(m)
+            stacks.append(m.xp.shape[1:-2])
             return validated(m)
 
-        monkeypatch.setattr(cv.gaussian, "validated", counting)
+        def counting_check(xp):
+            checks.append(xp.shape[1:-2])
+            return check_blocks(xp)
+
+        def general_route(sigma):
+            raise AssertionError("a verify matrix took the general route")
+
+        monkeypatch.setattr(gaussian, "validated", counting)
+        monkeypatch.setattr(gaussian, "_check_blocks", counting_check)
+        monkeypatch.setattr(gaussian, "_check_alone", general_route)
         code, _, _ = run(capsys, "verify", "--samples", "1000000", "--seed", "42")
         assert code == 0
         assert sum(math.prod(shape) for shape in stacks) == 276
         assert len(stacks) == 11
         assert sorted(stacks) == [(6,)] * 6 + [(48,)] * 5
+        assert sorted(checks) == sorted(stacks)
 
     def test_pull_back_suite_sees_a_p_variance_off_by_1e_9(self, capsys, monkeypatch):
         """The exact check that the sampler's power reduces to trips at 1 + 1e-9,

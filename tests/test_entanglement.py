@@ -118,22 +118,6 @@ class TestEofSymmetric:
         with pytest.raises(ValueError):
             cv.eof_symmetric(-0.1)
 
-    @pytest.mark.parametrize("rbar", [0.1, 0.5, 1.0, 1.5])
-    def test_claim_4_from_the_state(self, rbar):
-        """The paper's claim 4 on the dense pure three-mode state: the residual
-        contangle ln^2 eta~(1|23) - 2 ln^2 eta~(1|2), from the smallest symplectic
-        eigenvalue of the partial transpose of the state and of its modes-(0, 1)
-        reduction, is the class's contangle in nats^2 at d = 0 and at d_N_opt
-        (Adesso & Illuminati, New J. Phys. 8, 15 (2006))."""
-        iso = cv.IsoEntangledClass(3, 1.0, 1.0, rbar)
-        for d in (0.0, iso.d_opt):
-            sigma = cv.build_resource(cv.ResourceSpec(3, 1.0, 1.0, rbar, d, constrain_bias=False))
-            pair = cv.CovarianceMatrix(sigma.entries[:4, :4])
-            eta_1_23 = cv.symplectic_eigenvalues(cv.partial_transpose(sigma, [0]))[0]
-            eta_1_2 = cv.symplectic_eigenvalues(cv.partial_transpose(pair, [0]))[0]
-            tau = math.log(eta_1_23) ** 2 - 2 * math.log(eta_1_2) ** 2
-            assert tau == pytest.approx(iso.contangle(math.e), rel=1e-10), d
-
     def test_against_700_digits(self):
         """a ln a - b ln b cancels as eta -> 0 (0.21 relative error at the
         eta_N of rbar = 18); ln(1 + b) + 4b atanh(eta) keeps every digit."""

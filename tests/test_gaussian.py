@@ -537,7 +537,7 @@ DENSE = {
     "homodyne_condition": (2, lambda m: as_entries(cv.homodyne_condition(m, 1, "x").cm)),
     "localize": (3, lambda m: as_entries(cv.localize(m, (2, 0)).cm)),
     "eta_two_mode": (2, lambda m: cv.eta_two_mode(
-        m if as_entries(m).shape[-1] == 4 else cv.localize(m).cm)),
+        m if cv.gaussian.quadrature_blocks(m).n_modes == 2 else cv.localize(m).cm)),
 }
 
 
@@ -644,3 +644,154 @@ class TestStackedKernels:
         assert isinstance(alone, str), alone
         stack = np.insert(random_stack(len(bad) // 2, 11), at, bad, axis=0)
         assert outcome(fn, stack) == alone
+
+
+NOISE_PAIRS = ((1.0, 1.0), (1.5, 1.2), (2.0, 1.0))
+
+
+def resource_grid(N, rbars, biases=("zero", "optimal")):
+    """Input variances, shape (4, k), of the resources (N, n1, n2, rbar, d) over the
+    noise pairs and rbars, at d = 0 and at d_N_opt."""
+    isos = [cv.IsoEntangledClass(N, n1, n2, rbar) for n1, n2 in NOISE_PAIRS for rbar in rbars]
+    return np.array([input_variances(iso.n1, iso.n2, iso.rbar + d, iso.rbar - d)
+                     for iso in isos
+                     for d in [{"zero": 0.0, "optimal": iso.d_opt}[b] for b in biases]]).T
+
+
+def raises(fn, *args):
+    try:
+        fn(*args)
+    except np.linalg.LinAlgError:
+        return True
+    return False
+
+
+def dense_form(m, w):
+    """w^T m w over the whole 2N x 2N matrix, and the sum of its terms' magnitudes."""
+    return (np.einsum("...ij,i,j->...", m, w, w),
+            np.einsum("...ij,i,j->...", np.abs(m), np.abs(w), np.abs(w)))
+
+
+class TestBlockKernels:
+    """Without x-p correlations each operation is one N x N kernel on the blocks: the
+    block check decides as the complex Cholesky of sigma + i(1 - 1e-9) Omega, and the
+    spectrum, the homodyne conditioning and the teleported forms agree with the general
+    2N x 2N route."""
+
+    @pytest.mark.parametrize("N", [2, 3, 8, 50])
+    def test_block_check_decides_as_the_complex_cholesky(self, N):
+        """Every resource of the three noise pairs from rbar 0 to 4 in steps of 0.05,
+        at d = 0 and at d_N_opt, and each of them scaled by 1 - 1e-8, which takes
+        nu_min = 1 below 1 - 1e-9 for the pairs with a unit noise factor."""
+        entries = cv.gaussian.resource_entries(N, resource_grid(N, np.arange(81) * 0.05))
+        shifted = cv.gaussian._shifted_omega(2 * N)
+        decisions = []
+        for m in (*entries, *(entries * (1 - 1e-8))):
+            blocks = cv.gaussian.quadrature_blocks(m).xp
+            decisions.append((raises(cv.gaussian._check_blocks, blocks),
+                              raises(np.linalg.cholesky, m + shifted)))
+        assert [block for block, _ in decisions] == [dense for _, dense in decisions]
+        assert {block for block, _ in decisions} == {True, False}
+
+    @pytest.mark.parametrize("N", [2, 3, 8, 20, 50])
+    def test_spectrum_agrees_with_the_dense_route(self, N):
+        """Up to rbar 3, of the states and of two partial transposes.  Both routes carry
+        about eps e^{4 rbar} of rounding (against 60 digits at N = 8, rbar 3, the block
+        spectrum is 6e-12 off and the dense one 1.5e-12), so the bound is 1e-12
+        relative to rbar 2 and eps e^{4 rbar} above: 3.6e-11 at rbar 3, where the worst
+        seen is 1.3e-11 at N = 50."""
+        rbars = np.arange(31) * 0.1
+        blocks = cv.gaussian.validated(cv.gaussian.resource_blocks(N, resource_grid(N, rbars)))
+        entries = cv.gaussian.interleaved(blocks)
+        bound = np.maximum(1e-12, np.finfo(float).eps * np.exp(4 * np.repeat(np.tile(rbars, 3), 2)))
+        for modes in ([], [0], list(range(N // 2)))[:3 if N > 2 else 2]:
+            b, m = ((cv.gaussian.partial_transpose(s, modes) if modes else s) for s in (blocks, entries))
+            got, want = cv.symplectic_eigenvalues(b), cv.gaussian._dense_spectrum(m)
+            assert np.all(np.abs(got / want - 1).max(axis=-1) <= bound), modes
+
+    @pytest.mark.parametrize("N", [3, 4, 8, 20])
+    @pytest.mark.parametrize("quadrature", ["x", "p"])
+    def test_conditioning_agrees_with_the_dense_route(self, N, quadrature):
+        """localize and a one-mode homodyne detection, on blocks, against the Schur
+        complement of the 2N x 2N matrix against the measured quadratures, to 1e-12
+        of the largest entry, up to rbar 3."""
+        from cvteleport.localize import _schur
+
+        blocks = cv.gaussian.validated(
+            cv.gaussian.resource_blocks(N, resource_grid(N, np.arange(31) * 0.1)))
+        entries = cv.gaussian.interleaved(blocks)
+        for modes in ([1], list(range(N - 1, 1, -1))):
+            if quadrature == "p" and len(modes) == N - 2:
+                got = cv.localize(blocks).cm
+            elif len(modes) == 1:
+                got = cv.homodyne_condition(blocks, modes[0], quadrature).cm
+            else:
+                continue
+            gone = {2 * j + q for j in modes for q in (0, 1)}
+            want = _schur(entries, [i for i in range(2 * N) if i not in gone],
+                          [2 * j + (quadrature == "p") for j in modes])
+            scale = np.abs(want).max(axis=(-1, -2), keepdims=True)
+            assert np.abs(cv.gaussian.interleaved(got) - want).max() <= 1e-12 * scale.min()
+            assert (np.abs(cv.gaussian.interleaved(got) - want) <= 1e-12 * scale).all()
+
+    @pytest.mark.parametrize("states", ["resources", "correlated"])
+    @pytest.mark.parametrize("N", [2, 3, 5, 8])
+    def test_forms_agree_with_the_dense_route(self, N, states):
+        """teleported_variances reads sigma_x and sigma_p only; against w^T sigma w over
+        the whole matrix, with x-p correlations too, to 1e-12 of the sum of the terms'
+        magnitudes (at the optimal gain p_tot cancels its terms down to N v1p)."""
+        if states == "resources":
+            sigma = cv.gaussian.interleaved(cv.gaussian.validated(
+                cv.gaussian.resource_blocks(N, resource_grid(N, np.arange(31) * 0.1))))
+        else:
+            sigma = random_stack(N)
+        for (sender, receiver), g in product(((0, 1), (N - 1, 0)), (0.0, 1.0, -0.7)):
+            got = cv.teleported_variances(sigma, sender, receiver, g)
+            u, v = np.zeros(2 * N), np.zeros(2 * N)
+            u[2 * sender], u[2 * receiver] = 1.0, -1.0
+            v[1::2] = g
+            v[2 * sender + 1] = v[2 * receiver + 1] = 1.0
+            for one, w in zip(got, (u, v)):
+                want, scale = dense_form(sigma, w)
+                assert (np.abs(one - want) <= 1e-12 * scale).all(), (sender, receiver, g)
+
+    @pytest.mark.parametrize("name", sorted(DENSE))
+    def test_blocks_give_what_their_entries_give(self, name):
+        """An XPBlocks stack and its interleaved entries take the same kernels: the
+        results agree bit for bit, interleaved where they are states."""
+        fn = DENSE[name][1]
+        blocks = cv.gaussian.validated(
+            cv.gaussian.resource_blocks(4, resource_grid(4, np.arange(7) * 0.5)))
+        got, want = fn(blocks), fn(cv.gaussian.interleaved(blocks))
+        if isinstance(got, cv.gaussian.XPBlocks):
+            got = cv.gaussian.interleaved(got)
+        assert np.array_equal(got, want)
+
+    def test_validated_blocks(self):
+        blocks = cv.gaussian.resource_blocks(3, resource_grid(3, [0.5, 1.0]))
+        checked = cv.gaussian.validated(blocks)
+        assert isinstance(checked, cv.gaussian.XPBlocks)
+        assert np.array_equal(cv.gaussian.interleaved(checked),
+                              cv.gaussian.validated(cv.gaussian.interleaved(blocks)))
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 4, 3, 3), (2, 4, 3, 2)])
+    def test_blocks_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match=r"^x and p blocks must be \(2, \.\.\., N, N\)"):
+            cv.gaussian.validated(cv.gaussian.XPBlocks(np.ones(shape)))
+
+    @pytest.mark.parametrize("at", [0, 5, 11])
+    @pytest.mark.parametrize("case", ["unphysical", "indefinite", "slack-accepts",
+                                      "slack-rejects", "nan-at-(0, 0)"])
+    def test_blocks_decide_and_word_as_alone(self, case, at):
+        """A matrix without x-p correlations, inserted into a stack of physical blocks:
+        the XPBlocks stack is accepted or rejected, with the same text, as the matrix
+        alone."""
+        m = ALONE[case]
+        stack = np.insert(physical_stack(len(m)), at, m, axis=0)
+        alone = outcome(lambda m: cv.CovarianceMatrix(m).entries, m)
+        stacked = outcome(lambda s: cv.gaussian.interleaved(
+            cv.gaussian.validated(cv.gaussian.quadrature_blocks(s))), stack)
+        if isinstance(alone, str):
+            assert stacked == alone
+        else:
+            assert np.array_equal(stacked[at], alone)
